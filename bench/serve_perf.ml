@@ -28,7 +28,9 @@
    (tiny models, the @bench-smoke alias).  Equality mismatches, a sub-2x
    saturation speedup, a batched run that fails to beat the unbatched
    baseline, and degraded batched compiles are all recorded in the runlog,
-   so --strict-bench fails the run over them. *)
+   so --strict-bench fails the run over them.  The smoke run adds a
+   host-time scaling gate ([scaling_gate]), printed but kept out of the
+   JSON so the file stays deterministic. *)
 
 let dev = Tables.dev
 
@@ -347,6 +349,58 @@ let run () =
       (batched_memo ~tag:"serve" ~graph_of:(fun (e : Zoo.entry) -> e.Zoo.full ()))
     ~requests:48 ~out:"BENCH_serve.json" ()
 
+(* Host-time scaling of the serving loop: [Scheduler.run] over one fixed
+   MMoE/LSTM mix at 3000 req/s, at [n] and at [4n] requests in this
+   process, median of three runs each.  An event loop whose cost grows
+   with the history already served shows a per-request cost at [4n] well
+   above that at [n]; more than 2x is recorded in the runlog, so
+   --strict-bench fails.  The reference is the [n]-point of the same run,
+   never a stored constant. *)
+let scaling_gate ~(souffle_of : Zoo.entry -> Souffle.report) ~n =
+  let entries =
+    List.map (fun (k, w) -> (Option.get (Zoo.find k), w))
+      [ ("mmoe", 16.); ("lstm", 8.) ]
+  in
+  let artifacts =
+    List.map
+      (fun ((e : Zoo.entry), _) ->
+        let r = souffle_of e in
+        Scheduler.artifact_of_prog dev ~model:e.Zoo.name
+          ~degraded:(List.length r.Souffle.degraded)
+          r.Souffle.prog)
+      entries
+  in
+  let mix = List.map (fun ((e : Zoo.entry), w) -> (e.Zoo.name, w)) entries in
+  let cfg = Scheduler.cfg ~policy:Scheduler.Fifo ~max_streams:8 () in
+  let run requests =
+    let reqs = Workload.generate ~seed:29 ~rate_rps:3000. ~requests mix in
+    fun () ->
+      (* every run starts from a compacted heap, untimed, so the garbage
+         of earlier bench sections is not charged to one point *)
+      Gc.compact ();
+      let t0 = Unix.gettimeofday () in
+      ignore (Scheduler.run dev cfg ~artifacts reqs);
+      1e6 *. (Unix.gettimeofday () -. t0) /. float_of_int requests
+  in
+  (* the two points alternate, so a noisy stretch of the host hits both *)
+  let run_small = run n and run_large = run (4 * n) in
+  let pairs = List.init 3 (fun _ -> (run_small (), run_large ())) in
+  let median xs = List.nth (List.sort compare xs) 1 in
+  let small = median (List.map fst pairs) in
+  let large = median (List.map snd pairs) in
+  let ratio = large /. small in
+  Fmt.pr
+    "@.  host scaling: Scheduler.run %.1f us/request at %d requests, %.1f at \
+     %d — %.2fx (gate 2x)@."
+    small n large (4 * n) ratio;
+  if ratio > 2. then begin
+    Fmt.epr
+      "  !! serving host time per request grows %.2fx from %d to %d requests@."
+      ratio n (4 * n);
+    Runlog.record Tables.runlog ~model:"serve-host-scaling" ~degraded_steps:0
+      ~errors:1
+  end
+
 (* tiny models: the @bench-smoke alias — seconds, not minutes *)
 let smoke () =
   let cache : (string, Souffle.report) Hashtbl.t = Hashtbl.create 8 in
@@ -366,4 +420,5 @@ let smoke () =
     ~souffle_batched:
       (batched_memo ~tag:"serve-smoke"
          ~graph_of:(fun (e : Zoo.entry) -> e.Zoo.tiny ()))
-    ~requests:24 ~out:"BENCH_serve_smoke.json" ()
+    ~requests:24 ~out:"BENCH_serve_smoke.json" ();
+  scaling_gate ~souffle_of ~n:500

@@ -12,7 +12,8 @@ let section title =
 
 let note fmt = Fmt.pr ("    " ^^ fmt ^^ "@.")
 
-(* memoized full-size lowered programs (ResNeXt and LSTM take seconds) *)
+(* memoized full-size lowered programs: each model lowers once per bench
+   process, in tens of milliseconds *)
 let program_cache : (string, Program.t) Hashtbl.t = Hashtbl.create 8
 
 let program_of (e : Zoo.entry) =

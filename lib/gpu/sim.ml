@@ -644,7 +644,13 @@ module Multi = struct
     mdev : Device.t;
     mutable mnow : float;
     mutable mnext : int;
-    mutable mstreams : stream list;  (* reverse launch order *)
+    mutable mstreams : stream list;
+        (* every stream ever launched, reverse launch order: the history
+           {!streams} reports, never scanned by the event loop *)
+    mutable mresident : stream list;
+        (* the unfinished streams in launch order, which is the order
+           demands are summed and completions reported in; finished
+           streams are pruned lazily by {!active} *)
     mutable msamples : sample list;  (* reverse time order *)
     mutable mwindows : window list;  (* device-throttle windows *)
   }
@@ -655,6 +661,7 @@ module Multi = struct
       mnow = 0.;
       mnext = 0;
       mstreams = [];
+      mresident = [];
       msamples = [];
       mwindows = [];
     }
@@ -685,11 +692,20 @@ module Multi = struct
       infinity t.mwindows
 
   let now_us t = t.mnow
+
+  (** Every stream launched so far, in launch order: the full history, for
+      reporting.  The event loop walks {!active} instead. *)
   let streams t = List.rev t.mstreams
+
   let samples t = List.rev t.msamples
   let kernel_slices (s : stream) = List.rev s.st_slices
 
-  let active t = List.filter (fun s -> s.st_finish_us = None) (streams t)
+  (** The unfinished streams, in launch order.  O(resident streams),
+      independent of how many streams have already finished. *)
+  let active t =
+    let ss = List.filter (fun s -> s.st_finish_us = None) t.mresident in
+    t.mresident <- ss;
+    ss
 
   let current_stage (s : stream) : stage_profile option =
     match s.st_phase with
@@ -723,9 +739,10 @@ module Multi = struct
       g.g_deadline <- now +. (g.g_left *. stretch)
     end
 
-  (* recompute every executing stream's stretch from the resident set *)
-  let restretch t =
-    let ss = active t in
+  (* recompute every executing stream's stretch from the resident set
+     [ss]; streams in it that have since finished are [Drained] and add
+     neither demand nor a stretch *)
+  let restretch t (ss : stream list) =
     let d, b = demands ss in
     let sms = float_of_int t.mdev.Device.num_sms in
     (* a stream already time-sliced [sm_slow]x issues its memory traffic
@@ -843,6 +860,7 @@ module Multi = struct
     in
     t.mnext <- t.mnext + 1;
     t.mstreams <- s :: t.mstreams;
+    t.mresident <- t.mresident @ [ s ];
     if faults <> [] then Faultinject.Runtime.arm ~stream:s.st_id faults;
     next_kernel t s;
     s
@@ -865,7 +883,7 @@ module Multi = struct
         s.st_phase <- Drained;
         s.st_outcome <- Cancelled;
         s.st_finish_us <- Some t.mnow;
-        restretch t
+        restretch t (active t)
 
   let record_sample t (ss : stream list) ~til =
     let dt = til -. t.mnow in
@@ -926,7 +944,7 @@ module Multi = struct
           if next > t.mnow then t.mnow <- next;
           let crossing = List.filter (fun s -> deadline_of s <= t.mnow) ss in
           List.iter (cross t) crossing;
-          restretch t;
+          restretch t ss;
           `Crossed (List.filter (fun s -> s.st_finish_us <> None) crossing)
         end
 

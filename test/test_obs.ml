@@ -153,46 +153,40 @@ let qcheck_jsonlite_float_roundtrip =
         true
       else Int64.bits_of_float (reparse_num f) = Int64.bits_of_float f)
 
-(* The checked-in BENCH goldens flow through Jsonlite; after the
-   shortest-round-trip fix a parse -> print -> parse cycle must be a
-   structural fixpoint (bit-exact floats included, since [=] on the
-   NaN-free AST compares floats by value).  Skips quietly when the
-   goldens are not visible from the test cwd (sandboxed runs). *)
+(* The checked-in smoke-bench goldens under test/golden (declared as test
+   deps in test/dune, so they sit beside the test's cwd) flow through
+   Jsonlite; after the shortest-round-trip fix a parse -> print -> parse
+   cycle must be a structural fixpoint (bit-exact floats included, since
+   [=] on the NaN-free AST compares floats by value). *)
 let test_jsonlite_golden_fixpoint () =
-  let roots = [ "."; ".."; "../.."; "../../.."; "../../../.." ] in
-  let root =
-    List.find_opt (fun r -> Sys.file_exists (Filename.concat r "ROADMAP.md")) roots
+  let dir = "golden" in
+  let goldens =
+    if Sys.file_exists dir && Sys.is_directory dir then
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".json")
+      |> List.sort compare
+    else []
   in
-  match root with
-  | None -> ()
-  | Some root ->
-      let goldens =
-        Sys.readdir root |> Array.to_list
-        |> List.filter (fun f ->
-               String.length f > 6
-               && String.sub f 0 6 = "BENCH_"
-               && Filename.check_suffix f ".json")
+  Alcotest.(check bool) "found goldens" true (goldens <> []);
+  List.iter
+    (fun f ->
+      let path = Filename.concat dir f in
+      let ic = open_in_bin path in
+      let s =
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
       in
-      Alcotest.(check bool) "found goldens" true (goldens <> []);
-      List.iter
-        (fun f ->
-          let path = Filename.concat root f in
-          let ic = open_in_bin path in
-          let s =
-            Fun.protect
-              ~finally:(fun () -> close_in ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          match Jsonlite.parse s with
-          | Error m -> Alcotest.failf "%s does not parse: %s" f m
-          | Ok v -> (
-              let printed = Jsonlite.to_string v in
-              match Jsonlite.parse printed with
-              | Error m -> Alcotest.failf "%s reprint does not parse: %s" f m
-              | Ok v' ->
-                  Alcotest.(check bool)
-                    (f ^ " round-trips bit-exactly") true (v = v')))
-        goldens
+      match Jsonlite.parse s with
+      | Error m -> Alcotest.failf "%s does not parse: %s" f m
+      | Ok v -> (
+          let printed = Jsonlite.to_string v in
+          match Jsonlite.parse printed with
+          | Error m -> Alcotest.failf "%s reprint does not parse: %s" f m
+          | Ok v' ->
+              Alcotest.(check bool)
+                (f ^ " round-trips bit-exactly") true (v = v')))
+    goldens
 
 (* ---- Chrome-trace export ---- *)
 

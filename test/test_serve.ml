@@ -127,6 +127,146 @@ let test_identical_runs_byte_identical () =
   in
   Alcotest.(check string) "byte-identical outcomes" (outcome ()) (outcome ())
 
+(* ---- the engine over a long stream history ---- *)
+
+(* a two-stage kernel on half the device's SMs (216 blocks at 4 blocks/SM)
+   that mixes compute with DRAM traffic, so two resident streams contend
+   on both resources; [heavy] adds a second, longer kernel so that streams
+   of different lengths overlap at shifting offsets *)
+let history_profiles ~heavy : Sim.kernel_profile list =
+  let k name ~flops ~bytes =
+    Kernel_ir.kernel ~name ~grid_blocks:216 ~threads_per_block:256
+      ~smem_per_block:(40 * 1024)
+      [
+        Kernel_ir.stage ~label:"s0"
+          [ Kernel_ir.Fma { flops }; Kernel_ir.ldg bytes ];
+        Kernel_ir.stage ~label:"s1"
+          [ Kernel_ir.Fma { flops = flops / 4 }; Kernel_ir.stg (bytes / 4) ];
+      ]
+  in
+  let kernels =
+    k "a" ~flops:20_000_000 ~bytes:8_000_000
+    :: (if heavy then [ k "b" ~flops:60_000_000 ~bytes:2_000_000 ] else [])
+  in
+  Sim.profile_prog dev { Kernel_ir.pname = "history"; kernels }
+
+let history_streams = 2000
+let history_cancelled = 700 (* cancelled mid-kernel *)
+let history_faulted = 1300 (* struck by an armed Kernel_fault *)
+
+(* [history_streams] streams through one engine, topped up to at most two
+   resident after every completion, in the shape of the serving loop *)
+let run_history () : Sim.Multi.t =
+  Faultinject.Runtime.reset ();
+  let light = history_profiles ~heavy:false
+  and heavy = history_profiles ~heavy:true in
+  let eng = Sim.Multi.create dev in
+  let next = ref 0 in
+  let top_up () =
+    while !next < history_streams && List.length (Sim.Multi.active eng) < 2 do
+      let i = !next in
+      incr next;
+      let faults =
+        if i = history_faulted then
+          [ Faultinject.Kernel_fault { kernel = 0; stage = 1 } ]
+        else []
+      in
+      ignore
+        (Sim.Multi.launch eng ~label:(string_of_int i) ~faults
+           (if i mod 3 = 0 then heavy else light))
+    done
+  in
+  let rec loop () =
+    top_up ();
+    if !next < history_streams then begin
+      let now = Sim.Multi.now_us eng in
+      if !next = history_cancelled + 1 then begin
+        ignore (Sim.Multi.advance eng ~until:(now +. 5.));
+        List.iter
+          (fun (s : Sim.Multi.stream) ->
+            if s.Sim.Multi.st_id = history_cancelled then Sim.Multi.cancel eng s)
+          (Sim.Multi.active eng)
+      end;
+      ignore (Sim.Multi.advance eng ~until:infinity);
+      loop ()
+    end
+  in
+  loop ();
+  Sim.Multi.drain eng;
+  Faultinject.Runtime.reset ();
+  eng
+
+(* FNV-1a over the finish times' IEEE bits, in launch order *)
+let finish_digest (ss : Sim.Multi.stream list) : int64 =
+  List.fold_left
+    (fun h (s : Sim.Multi.stream) ->
+      let bits =
+        Int64.bits_of_float (Option.value ~default:nan s.Sim.Multi.st_finish_us)
+      in
+      Int64.mul (Int64.logxor h bits) 0x100000001b3L)
+    0xcbf29ce484222325L ss
+
+(* finish-time bits recorded before the engine kept a resident set: the
+   resident-set loop must reproduce the full-history scan bit for bit *)
+let history_expected_digest = 8667395098554764972L
+
+let history_expected_bits =
+  [
+    (0, 4627102614784478094L);
+    (1, 4624329235580398360L);
+    (699, 4662711854251252785L);
+    (history_cancelled, 4662707786908472001L);
+    (history_faulted, 4666792746294462167L);
+    (history_streams - 1, 4669790221661529064L);
+  ]
+
+let test_engine_long_history () =
+  let eng = run_history () in
+  let ss = Sim.Multi.streams eng in
+  Alcotest.(check (list int)) "streams is the full history, in launch order"
+    (List.init history_streams Fun.id)
+    (List.map (fun (s : Sim.Multi.stream) -> s.Sim.Multi.st_id) ss);
+  Alcotest.(check int) "no stream active after drain" 0
+    (List.length (Sim.Multi.active eng));
+  Alcotest.(check int) "at most two streams ever resident" 2
+    (List.fold_left
+       (fun a (x : Sim.Multi.sample) -> max a x.Sim.Multi.sa_resident)
+       0 (Sim.Multi.samples eng));
+  let outcome i = (List.nth ss i).Sim.Multi.st_outcome in
+  Alcotest.(check string) "cancelled mid-kernel" "cancelled"
+    (Sim.Multi.outcome_to_string (outcome history_cancelled));
+  Alcotest.(check string) "armed fault struck" "faulted"
+    (Sim.Multi.outcome_to_string (outcome history_faulted));
+  Alcotest.(check int) "every other stream finished" (history_streams - 2)
+    (List.length
+       (List.filter
+          (fun (s : Sim.Multi.stream) -> s.Sim.Multi.st_outcome = Sim.Multi.Finished)
+          ss));
+  List.iter
+    (fun (i, bits) ->
+      Alcotest.(check int64)
+        (Fmt.str "stream %d finish bits" i)
+        bits
+        (Int64.bits_of_float (Option.get (List.nth ss i).Sim.Multi.st_finish_us)))
+    history_expected_bits;
+  Alcotest.(check int64) "finish-time digest over every stream"
+    history_expected_digest (finish_digest ss)
+
+(* identical streams launched together cross every phase boundary at the
+   same instant: the completions come back in launch order, the order the
+   serving loop's completion handling and slot reuse depend on *)
+let test_engine_simultaneous_completions_in_launch_order () =
+  let eng = Sim.Multi.create dev in
+  let profs = history_profiles ~heavy:false in
+  let ids =
+    List.init 3 (fun _ -> (Sim.Multi.launch eng profs).Sim.Multi.st_id)
+  in
+  match Sim.Multi.advance eng ~until:infinity with
+  | `Completed done_ ->
+      Alcotest.(check (list int)) "completed in launch order" ids
+        (List.map (fun (s : Sim.Multi.stream) -> s.Sim.Multi.st_id) done_)
+  | _ -> Alcotest.fail "expected the three streams to complete together"
+
 (* ---- scheduler policies ---- *)
 
 let test_sel_prefers_shortest () =
@@ -723,6 +863,10 @@ let suite =
     Alcotest.test_case "throughput saturates" `Quick test_throughput_saturates;
     Alcotest.test_case "identical runs byte-identical" `Quick
       test_identical_runs_byte_identical;
+    Alcotest.test_case "engine keeps a long stream history" `Quick
+      test_engine_long_history;
+    Alcotest.test_case "engine completes ties in launch order" `Quick
+      test_engine_simultaneous_completions_in_launch_order;
     Alcotest.test_case "sel picks shortest, fifo picks first" `Quick
       test_sel_prefers_shortest;
     Alcotest.test_case "unknown model rejected" `Quick
