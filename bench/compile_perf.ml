@@ -14,9 +14,10 @@
    Each compile runs under [Obs.record], so besides end-to-end wall time we
    report the schedule-phase time ("ansor" spans), the number of candidate
    searches actually performed ("ansor-search" spans), and a per-phase
-   breakdown ("emit-kernel" is the span the emitter actually opens per
-   kernel — both the Souffle ladder and the whole-grouping [Emit.emit]
-   entry point emit it).  The warm run must perform zero searches.
+   breakdown of host time and of words allocated on the compiling domain
+   ("emit-kernel" is the span the emitter actually opens per kernel — both
+   the Souffle ladder and the whole-grouping [Emit.emit] entry point emit
+   it).  The warm run must perform zero searches.
 
    Gates recorded in the runlog, so --strict-bench fails the run:
      - every compiled artifact must be dataflow-clean;
@@ -73,6 +74,9 @@ type run = {
   ansor_us : float;      (* schedule-phase ("ansor" spans) microseconds *)
   searches : int;        (* "ansor-search" spans: candidate searches done *)
   phases : (string * float) list;  (* per-phase microseconds, {!phase_names} *)
+  phases_alloc : (string * float) list;
+      (* per-phase allocated Mwords on the compiling domain, {!phase_names};
+         search worker domains' allocations are not counted *)
   sim : Sim.result;
 }
 
@@ -109,6 +113,10 @@ let measure ~model ~label ?sched_cache ~domains ~search_mode (p : Program.t) :
     ansor_us = Obs.total_us trace "ansor";
     searches = spans_named trace "ansor-search";
     phases = List.map (fun n -> (n, Obs.total_us trace n)) phase_names;
+    phases_alloc =
+      List.map
+        (fun n -> (n, Obs.total_alloc_words trace n /. 1e6))
+        phase_names;
     sim = r.Souffle.sim;
   }
 
@@ -177,6 +185,9 @@ let json_of_run (r : run) : Jsonlite.t =
       ( "phases_us",
         Jsonlite.Obj
           (List.map (fun (n, us) -> (n, Jsonlite.Num us)) r.phases) );
+      ( "phases_alloc_mw",
+        Jsonlite.Obj
+          (List.map (fun (n, mw) -> (n, Jsonlite.Num mw)) r.phases_alloc) );
     ]
 
 let ratio num den = if den > 0. then num /. den else 0.
@@ -196,6 +207,24 @@ let run_with ~graph_of ~out ~budget_s ~geomean_gate () =
         runs)
     results;
   let pick label runs = List.find (fun r -> r.label = label) runs in
+  (* where the cold/construct compile goes, phase by phase: host ms, then
+     Mwords allocated on the compiling domain *)
+  let phase_table title value =
+    Fmt.pr "  %s@." title;
+    Fmt.pr "  %-14s%a@." "model"
+      Fmt.(list ~sep:nop (fun ppf n -> pf ppf " %11s" n))
+      phase_names;
+    List.iter
+      (fun (model, runs) ->
+        Fmt.pr "  %-14s%a@." model
+          Fmt.(list ~sep:nop (fun ppf (_, v) -> pf ppf " %11.3f" v))
+          (value (pick "cold/construct" runs)))
+      results
+  in
+  phase_table "cold/construct per phase, ms:" (fun r ->
+      List.map (fun (n, us) -> (n, us /. 1e3)) r.phases);
+  phase_table "cold/construct per phase, Mword allocated:" (fun r ->
+      r.phases_alloc);
   let sum f = List.fold_left (fun a (_, runs) -> a +. f runs) 0. results in
   let cold_s = sum (fun rs -> (pick "cold/construct" rs).compile_s) in
   let exhaustive_s = sum (fun rs -> (pick "cold/exhaustive" rs).compile_s) in

@@ -169,9 +169,9 @@ let rammer_groups (p : Program.t) : Emit.group list =
   let depth = Horizontal.depths p in
   let by_depth : (int, Te.t list) Hashtbl.t = Hashtbl.create 64 in
   let max_d = ref 0 in
-  List.iter
-    (fun (te : Te.t) ->
-      let d = Program.SMap.find te.Te.name depth in
+  List.iteri
+    (fun k (te : Te.t) ->
+      let d = depth.(k) in
       max_d := max !max_d d;
       Hashtbl.replace by_depth d
         (te :: Option.value ~default:[] (Hashtbl.find_opt by_depth d)))

@@ -18,6 +18,10 @@ type span = {
   sname : string;
   start_us : float;  (** relative to the start of the recording *)
   mutable dur_us : float;
+  mutable alloc_words : float;
+      (** words the calling domain allocated during the span (minor plus
+          major minus promoted), children included; allocations made by
+          other domains, such as parallel search workers, are not counted *)
   mutable meta : (string * string) list;
   mutable children : span list;
       (** reverse order while recording; forward after {!record} returns *)
@@ -40,12 +44,24 @@ let enabled () = Option.is_some !current
 
 let now_us (c : collector) = (Unix.gettimeofday () -. c.t0) *. 1e6
 
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
 let span ?(meta = []) (name : string) (f : unit -> 'a) : 'a =
   match !current with
   | None -> f ()
   | Some c ->
+      let a0 = allocated_words () in
       let s =
-        { sname = name; start_us = now_us c; dur_us = 0.; meta; children = [] }
+        {
+          sname = name;
+          start_us = now_us c;
+          dur_us = 0.;
+          alloc_words = 0.;
+          meta;
+          children = [];
+        }
       in
       (match c.stack with
       | parent :: _ -> parent.children <- s :: parent.children
@@ -53,6 +69,7 @@ let span ?(meta = []) (name : string) (f : unit -> 'a) : 'a =
       c.stack <- s :: c.stack;
       let close () =
         s.dur_us <- now_us c -. s.start_us;
+        s.alloc_words <- allocated_words () -. a0;
         (* pop [s]; if the body leaked open children (an exception escaped
            past their own close), drop them too — they are already linked
            into [s.children] *)
@@ -102,7 +119,7 @@ let record_result (f : unit -> ('a, 'e) result) :
     span on that numbered row of the Chrome-trace export. *)
 let make_span ?(meta = []) ?(children = []) ~start_us ~dur_us (name : string)
     : span =
-  { sname = name; start_us; dur_us; meta; children }
+  { sname = name; start_us; dur_us; alloc_words = 0.; meta; children }
 
 (** Package synthetic spans as a trace; [wall_us] defaults to the latest
     span end. *)
@@ -138,6 +155,14 @@ let iter (f : span -> depth:int -> unit) (t : trace) : unit =
 let total_us (t : trace) (name : string) : float =
   let acc = ref 0. in
   iter (fun s ~depth:_ -> if s.sname = name then acc := !acc +. s.dur_us) t;
+  !acc
+
+(** Words allocated inside spans named [name], summed like {!total_us}. *)
+let total_alloc_words (t : trace) (name : string) : float =
+  let acc = ref 0. in
+  iter
+    (fun s ~depth:_ -> if s.sname = name then acc := !acc +. s.alloc_words)
+    t;
   !acc
 
 (* ---- text rendering ---- *)

@@ -41,25 +41,39 @@ let binop_to_string = function
 let rel_to_string = function
   | Lt -> "<" | Le -> "<=" | Eq -> "==" | Ne -> "!=" | Ge -> ">=" | Gt -> ">"
 
-let rec pp ppf = function
-  | Const f -> Fmt.pf ppf "%g" f
-  | Read (name, idxs) ->
-      Fmt.pf ppf "%s[%a]" name Fmt.(list ~sep:(any ", ") Index.pp) idxs
-  | IdxVal i -> Fmt.pf ppf "float(%a)" Index.pp i
-  | Unop (op, a) -> Fmt.pf ppf "%s(%a)" (unop_to_string op) pp a
-  | Binop ((Add | Sub | Mul | Div) as op, a, b) ->
-      Fmt.pf ppf "(%a %s %a)" pp a (binop_to_string op) pp b
-  | Binop (op, a, b) ->
-      Fmt.pf ppf "%s(%a, %a)" (binop_to_string op) pp a pp b
-  | Select (c, a, b) -> Fmt.pf ppf "select(%a, %a, %a)" pp_cond c pp a pp b
+(** Append the printed form of [e] to [b], writing each tensor read's name
+    as [name n] (default: [n] itself).  The callback sees the reads in
+    printing order, left to right. *)
+let add_to_buffer ?(name = Fun.id) b e =
+  let str = Buffer.add_string b and idx = Index.add_to_buffer b in
+  let rec go = function
+    | Const f -> str (Printf.sprintf "%g" f)
+    | Read (n, idxs) ->
+        str (name n); str "[";
+        List.iteri (fun k i -> if k > 0 then str ", "; idx i) idxs;
+        str "]"
+    | IdxVal i -> str "float("; idx i; str ")"
+    | Unop (op, a) -> str (unop_to_string op); str "("; go a; str ")"
+    | Binop (((Add | Sub | Mul | Div) as op), a, x) ->
+        str "("; go a; str (" " ^ binop_to_string op ^ " "); go x; str ")"
+    | Binop (op, a, x) ->
+        str (binop_to_string op); str "("; go a; str ", "; go x; str ")"
+    | Select (c, a, x) ->
+        str "select("; cond c; str ", "; go a; str ", "; go x; str ")"
+  and cond = function
+    | Cmp (r, a, x) -> idx a; str (" " ^ rel_to_string r ^ " "); idx x
+    | And (a, x) -> str "("; cond a; str " && "; cond x; str ")"
+    | Or (a, x) -> str "("; cond a; str " || "; cond x; str ")"
+    | Not a -> str "!("; cond a; str ")"
+  in
+  go e
 
-and pp_cond ppf = function
-  | Cmp (r, a, b) -> Fmt.pf ppf "%a %s %a" Index.pp a (rel_to_string r) Index.pp b
-  | And (a, b) -> Fmt.pf ppf "(%a && %a)" pp_cond a pp_cond b
-  | Or (a, b) -> Fmt.pf ppf "(%a || %a)" pp_cond a pp_cond b
-  | Not a -> Fmt.pf ppf "!(%a)" pp_cond a
+let to_string t =
+  let b = Buffer.create 64 in
+  add_to_buffer b t;
+  Buffer.contents b
 
-let to_string t = Fmt.str "%a" pp t
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let apply_unop op x =
   match op with

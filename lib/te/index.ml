@@ -17,16 +17,31 @@ type t =
   | Div of t * int      (** floor division by a positive constant *)
   | Mod of t * int      (** remainder by a positive constant *)
 
-let rec pp ppf = function
-  | Ov k -> Fmt.pf ppf "i%d" k
-  | Rv k -> Fmt.pf ppf "r%d" k
-  | Const c -> Fmt.int ppf c
-  | Add (a, b) -> Fmt.pf ppf "(%a + %a)" pp a pp b
-  | Mul (a, k) -> Fmt.pf ppf "(%a * %d)" pp a k
-  | Div (a, k) -> Fmt.pf ppf "(%a / %d)" pp a k
-  | Mod (a, k) -> Fmt.pf ppf "(%a %% %d)" pp a k
+(** Append the printed form of an index ([i0], [r1], [(i0 + 3)],
+    [(r0 * 2)], ...) to [b].  Printing goes through a [Buffer] rather than
+    [Format] because structural keys (horizontal grouping, dependence
+    relations) print every TE of a program. *)
+let rec add_to_buffer b t =
+  let str = Buffer.add_string b in
+  let scaled a op k =
+    str "("; add_to_buffer b a; str op; str (string_of_int k); str ")"
+  in
+  match t with
+  | Ov k -> str "i"; str (string_of_int k)
+  | Rv k -> str "r"; str (string_of_int k)
+  | Const c -> str (string_of_int c)
+  | Add (x, y) ->
+      str "("; add_to_buffer b x; str " + "; add_to_buffer b y; str ")"
+  | Mul (a, k) -> scaled a " * " k
+  | Div (a, k) -> scaled a " / " k
+  | Mod (a, k) -> scaled a " % " k
 
-let to_string t = Fmt.str "%a" pp t
+let to_string t =
+  let b = Buffer.create 16 in
+  add_to_buffer b t;
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let rec eval ~ov ~rv = function
   | Ov k -> ov.(k)

@@ -222,7 +222,8 @@ let live_after p pos =
     the {!find_te} name index plus a stable sort — O(V + E + n log n) —
     instead of repeatedly re-scanning the not-yet-placed list, which was
     quadratic in the wavefront depth and dominated whole-model compile
-    time on deep programs (LSTM's step chain). *)
+    time on deep programs (LSTM's step chain).  The sort compares the
+    precomputed int waves, not names. *)
 let toposort (p : t) : t =
   let inputs = SSet.of_list (input_names p) in
   let idx = index_of p in
@@ -253,12 +254,10 @@ let toposort (p : t) : t =
         Hashtbl.add wave te.Te.name w;
         w
   in
-  List.iter (fun te -> ignore (wave_of te)) p.tes;
   let tes =
-    List.stable_sort
-      (fun (a : Te.t) (b : Te.t) ->
-        compare (Hashtbl.find wave a.Te.name) (Hashtbl.find wave b.Te.name))
-      p.tes
+    List.map (fun te -> (wave_of te, te)) p.tes
+    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
   in
   { p with tes }
 

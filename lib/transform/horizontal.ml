@@ -11,88 +11,94 @@
     branches (QKV projections, mixture-of-expert branches, grouped
     convolution branches). *)
 
-module SMap = Program.SMap
 module SSet = Program.SSet
 
-(* Structural template of a body with tensor names abstracted to hole ids
-   (first-occurrence numbering), so that e.g. the three QKV GEMMs compare
-   equal. *)
-let template (e : Expr.t) : Expr.t * string list =
-  let idx_of : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let names = ref [] and next = ref 0 in
-  let hole name =
-    let i =
-      match Hashtbl.find_opt idx_of name with
-      | Some i -> i
-      | None ->
-          let i = !next in
-          Hashtbl.add idx_of name i;
-          incr next;
-          names := name :: !names;
-          i
-    in
-    Fmt.str "$%d" i
+(* Dependency depth of every TE: longest producer chain from the inputs.
+   Returns each TE's read names, its depth by name and in program order,
+   and the reads that no earlier TE defined (program inputs, or reads out
+   of dependency order) as (TE position, name) pairs. *)
+let depth_table (tes : Te.t array) =
+  let by_name : (string, int) Hashtbl.t =
+    Hashtbl.create (2 * max 1 (Array.length tes))
   in
-  let t = Expr.map_reads (fun name idxs -> Expr.Read (hole name, idxs)) e in
-  (t, List.rev !names)
+  let reads = Array.map Te.inputs tes in
+  let unresolved = ref [] in
+  let depth =
+    Array.mapi
+      (fun k (te : Te.t) ->
+        let d =
+          List.fold_left
+            (fun m i ->
+              match Hashtbl.find_opt by_name i with
+              | Some di -> max m (di + 1)
+              | None ->
+                  unresolved := (k, i) :: !unresolved;
+                  m)
+            0 reads.(k)
+        in
+        Hashtbl.replace by_name te.Te.name d;
+        d)
+      tes
+  in
+  (reads, by_name, depth, !unresolved)
 
-(* Dependency depth of every TE: longest producer chain from the inputs. *)
-let depths (p : Program.t) : int SMap.t =
-  List.fold_left
-    (fun acc (te : Te.t) ->
-      let d =
-        List.fold_left
-          (fun m i ->
-            match SMap.find_opt i acc with
-            | Some di -> max m (di + 1)
-            | None -> m (* program input: depth contribution 0 *))
-          0 (Te.inputs te)
-      in
-      SMap.add te.Te.name d acc)
-    SMap.empty p.Program.tes
+let depths (p : Program.t) : int array =
+  let _, _, depth, _ = depth_table (Array.of_list p.Program.tes) in
+  depth
 
 type group = { members : Te.t list (* >= 2, program order *) }
 
-(* Key under which TEs may merge. *)
-let group_key (depth : int SMap.t) (te : Te.t) =
-  let tmpl, _ = template (Te.body_expr te) in
+(* Key under which TEs may merge: the body printed with tensor names
+   abstracted to holes numbered by first occurrence (so e.g. the three QKV
+   GEMMs compare equal), plus everything else a merge must share.  Two
+   bodies get equal keys exactly when they have the same structure and
+   read the same pattern of tensors. *)
+let group_key (buf : Buffer.t) depth (te : Te.t) =
+  Buffer.clear buf;
+  let holes = ref [] in
+  let hole name =
+    match List.assoc_opt name !holes with
+    | Some h -> h
+    | None ->
+        let h = "$" ^ string_of_int (List.length !holes) in
+        holes := (name, h) :: !holes;
+        h
+  in
+  Expr.add_to_buffer ~name:hole buf (Te.body_expr te);
   let tail = Array.to_list (Array.sub te.Te.out_shape 1 (Te.rank te - 1)) in
   let rop =
     match te.Te.body with
     | Te.Compute _ -> None
     | Te.Reduce { op; axes; _ } -> Some (op, Array.to_list axes)
   in
-  ( Expr.to_string tmpl,
-    tail,
-    rop,
-    te.Te.dtype,
-    SMap.find te.Te.name depth )
+  (Buffer.contents buf, tail, rop, te.Te.dtype, depth)
 
 (* Merging arbitrarily many independent TEs would out-grow the cooperative
    launch budget the partitioner works under (the paper merges within a
    subprogram, which bounds group size the same way). *)
 let max_group_members = 32
 
-let find_groups (p : Program.t) : group list =
-  let depth = depths p in
+let groups_of (p : Program.t) (tes : Te.t array) (depth : int array) :
+    group list =
   let outputs = SSet.of_list p.Program.outputs in
   let tbl = Hashtbl.create 32 in
   let order = ref [] in
-  List.iter
-    (fun (te : Te.t) ->
+  let buf = Buffer.create 256 in
+  Array.iteri
+    (fun k (te : Te.t) ->
       if
         Te.has_reduction te
         && Te.rank te >= 1
         && not (SSet.mem te.Te.name outputs)
       then begin
-        let key = group_key depth te in
-        (match Hashtbl.find_opt tbl key with
+        let key = group_key buf depth.(k) te in
+        match Hashtbl.find_opt tbl key with
         | None ->
             Hashtbl.add tbl key [ te ];
             order := key :: !order
-        | Some l -> Hashtbl.replace tbl key (te :: l))
+        | Some l -> Hashtbl.replace tbl key (te :: l)
       end)
-    p.Program.tes;
+    tes;
   let rec chunk = function
     | [] -> []
     | l ->
@@ -167,37 +173,42 @@ type stats = { groups_merged : int; tes_eliminated : int }
 
 (** Apply horizontal merging across the program (largest groups first is
     irrelevant: groups are disjoint by construction).  Consumers of the
-    members are redirected into slices of the merged tensor; the program is
-    re-toposorted at the end. *)
+    members are redirected into slices of the merged tensor, and the result
+    is put in wavefront order by the depth map grouping computed: a merged
+    TE has its members' depth, so this is the order [Program.toposort]
+    would produce. *)
 let apply (p : Program.t) : Program.t * stats =
-  let groups = find_groups p in
+  let tes = Array.of_list p.Program.tes in
+  let reads, by_name, depth, unresolved = depth_table tes in
+  let groups = groups_of p tes depth in
   if groups = [] then (p, { groups_merged = 0; tes_eliminated = 0 })
   else begin
-    (* name -> (merged name, offset) *)
+    (* wavefront order is a topological order only if every read comes
+       from a strictly lower depth or is a program input; the depth pass
+       already guarantees it for reads of earlier TEs *)
+    let inputs = SSet.of_list (Program.input_names p) in
+    List.iter
+      (fun (k, i) ->
+        if not (SSet.mem i inputs) then
+          match Hashtbl.find_opt by_name i with
+          | Some di when di < depth.(k) -> ()
+          | _ ->
+              invalid_arg
+                ("Horizontal.apply: cycle or undefined input involving "
+               ^ tes.(k).Te.name))
+      unresolved;
+    (* member name -> (merged name, offset); head-member name -> merged TE *)
     let redirect = Hashtbl.create 32 in
-    let merged_tes =
-      List.map
-        (fun g ->
-          let merged, offsets = merge_group g in
-          List.iter
-            (fun (name, off) ->
-              Hashtbl.replace redirect name (merged.Te.name, off))
-            offsets;
-          (g, merged))
-        groups
-    in
-    (* member name -> (), plus head-member name -> merged TE, so the
-       rewrite pass below is O(1) per TE instead of scanning the group
-       list for every member *)
-    let member_names : (string, unit) Hashtbl.t = Hashtbl.create 64 in
     let merged_by_head : (string, Te.t) Hashtbl.t = Hashtbl.create 64 in
     List.iter
-      (fun (g, merged) ->
+      (fun g ->
+        let merged, offsets = merge_group g in
         List.iter
-          (fun (te : Te.t) -> Hashtbl.replace member_names te.Te.name ())
-          g.members;
+          (fun (name, off) ->
+            Hashtbl.replace redirect name (merged.Te.name, off))
+          offsets;
         Hashtbl.replace merged_by_head (List.hd g.members).Te.name merged)
-      merged_tes;
+      groups;
     let rewrite_reads (te : Te.t) =
       Te.map_body
         (Expr.map_reads (fun name idxs ->
@@ -215,28 +226,26 @@ let apply (p : Program.t) : Program.t * stats =
                  Expr.Read (merged_name, idxs')))
         te
     in
-    let tes =
-      List.concat_map
-        (fun (te : Te.t) ->
-          if Hashtbl.mem member_names te.Te.name then begin
-            (* replace the first member of each group by its merged TE *)
-            match Hashtbl.find_opt merged_by_head te.Te.name with
-            | Some merged ->
-                (* a merged TE may itself read members of other groups *)
-                [ rewrite_reads merged ]
-            | None -> []
-          end
-          else [ rewrite_reads te ])
-        p.Program.tes
-    in
-    let p' = Program.toposort { p with Program.tes } in
-    ( p',
+    (* one bucket per depth, each in program order; the head member's
+       slot holds its merged TE, the other members' slots are dropped, and
+       a TE only needs rewriting if it reads a member *)
+    let waves = Array.make (Array.fold_left max 0 depth + 1) [] in
+    for k = Array.length tes - 1 downto 0 do
+      let te = tes.(k) in
+      let te' =
+        if Hashtbl.mem redirect te.Te.name then
+          Option.map rewrite_reads (Hashtbl.find_opt merged_by_head te.Te.name)
+        else if List.exists (Hashtbl.mem redirect) reads.(k) then
+          Some (rewrite_reads te)
+        else Some te
+      in
+      Option.iter (fun te' -> waves.(depth.(k)) <- te' :: waves.(depth.(k))) te'
+    done;
+    ( { p with Program.tes = List.concat (Array.to_list waves) },
       {
         groups_merged = List.length groups;
         tes_eliminated =
-          List.fold_left
-            (fun a (g, _) -> a + List.length g.members - 1)
-            0 merged_tes;
+          List.fold_left (fun a g -> a + List.length g.members - 1) 0 groups;
       } )
   end
 

@@ -7,26 +7,21 @@
     same dependency depth (the wavefront structure of Fig. 7: QKV
     projections, LSTM diagonals, MoE experts, grouped-conv branches). *)
 
-val template : Expr.t -> Expr.t * string list
-(** Structural body template with tensor names abstracted to ordered holes;
-    two TEs may merge when their templates are equal. *)
-
-val depths : Program.t -> int Program.SMap.t
-(** Longest producer chain from the inputs, per TE.  Equal depth implies
-    mutual unreachability. *)
+val depths : Program.t -> int array
+(** Longest producer chain from the inputs, per TE in program order.  Equal
+    depth implies mutual unreachability. *)
 
 val max_group_members : int
 (** Cap on merged-group size, bounding the fused kernel's grid the same way
     the paper's per-subprogram scope does. *)
 
-type group = { members : Te.t list (** >= 2, program order *) }
-
-val find_groups : Program.t -> group list
-
 type stats = { groups_merged : int; tes_eliminated : int }
 
 val apply : Program.t -> Program.t * stats
-(** Merge every group, rewrite consumers, and re-toposort. *)
+(** Merge every group, rewrite consumers, and order the result by
+    dependency depth (wavefront order, stable within a wave).
+    @raise Invalid_argument when a read is neither a program input nor
+    produced at a lower depth. *)
 
 val apply_result : Program.t -> (Program.t * stats, Diag.t) result
 (** {!apply} with escaped exceptions (and injected faults) converted to a

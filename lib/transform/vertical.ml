@@ -36,136 +36,167 @@ let fuse ~(producer : Te.t) ~(consumer : Te.t) : Te.t =
 
 type stats = { chains_fused : int; movement_folded : int }
 
-(* One inlining round; returns the new program and how many rewrites
-   happened.
+(* The fixpoint runs in rounds.  A round selects every one-relies-on-one
+   TE worth inlining (see [should_inline]) from the consumer tallies at
+   its start, inlines the selected TEs that have no selected input — so
+   chains resolve bottom-up, one substitution step per round — and each
+   consumer folds its inlined producers in sorted-input order.
 
-   [inputs_of] memoizes each TE's read-name list by TE name across rounds:
-   a body is only re-traversed after the TE was rewritten (its entry is
-   dropped below), so fixpoint iteration does not re-scan the bodies of the
-   untouched majority every round.  The selection predicate only needs
-   consumer *tallies* — how many TEs read a tensor and how many of those
-   reduce — so rounds tally into a hash table in one pass instead of
-   materializing per-tensor consumer lists. *)
-let round ~fold_into_reduce ~(inputs_of : (string, string list) Hashtbl.t)
-    (p : Program.t) : Program.t * stats =
-  let inputs (te : Te.t) =
-    match Hashtbl.find_opt inputs_of te.Te.name with
-    | Some l -> l
-    | None ->
-        let l = Te.inputs te in
-        Hashtbl.add inputs_of te.Te.name l;
-        l
+   The state is int-indexed and maintained incrementally, so a round costs
+   what it rewrites rather than the whole program:
+   - [body], [live]: the TEs by position; an inlined TE dies in place;
+   - [inputs]: each TE's reads of other TEs, as positions sorted by name;
+   - [consumers]: the positions reading a TE (dead entries are skipped
+     and dropped lazily), with [n_cons] / [n_red] counting the live
+     consumers and the reducing ones among them;
+   - [selected], and [blocked]: how many selected inputs a TE has.
+   A TE's selection depends only on its own body and tallies, so a round
+   re-selects just the [dirty] TEs whose body or tally changed.  And every
+   TE that was ready (selected, none of its inputs selected) at a round's
+   start is inlined in that round, so the next round's ready TEs are
+   among those whose selection or [blocked] count changed. *)
+let apply ?(fold_into_reduce = true) (p : Program.t) : Program.t * stats =
+  let body = Array.of_list p.Program.tes in
+  let n = Array.length body in
+  let pos : (string, int) Hashtbl.t = Hashtbl.create (2 * max 1 n) in
+  Array.iteri
+    (fun i (te : Te.t) ->
+      if not (Hashtbl.mem pos te.Te.name) then Hashtbl.add pos te.Te.name i)
+    body;
+  let inputs =
+    Array.map
+      (fun te -> List.filter_map (Hashtbl.find_opt pos) (Te.inputs te))
+      body
   in
-  let n = List.length p.Program.tes in
-  (* tensor name -> (total consumers, reduction consumers) *)
-  let tally : (string, int * int) Hashtbl.t = Hashtbl.create (2 * max 1 n) in
+  let live = Array.make n true and selected = Array.make n false in
+  let reduces = Array.map Te.has_reduction body in
+  let is_output = Array.make n false in
   List.iter
-    (fun (te : Te.t) ->
-      let red = if Te.has_reduction te then 1 else 0 in
-      List.iter
-        (fun i ->
-          let t, r =
-            Option.value ~default:(0, 0) (Hashtbl.find_opt tally i)
-          in
-          Hashtbl.replace tally i (t + 1, r + red))
-        (inputs te))
-    p.Program.tes;
-  let outputs = Program.SSet.of_list p.Program.outputs in
-  let chains = ref 0 and moved = ref 0 in
+    (fun o ->
+      Option.iter (fun i -> is_output.(i) <- true) (Hashtbl.find_opt pos o))
+    p.Program.outputs;
+  let consumers = Array.make n [] in
+  let n_cons = Array.make n 0 and n_red = Array.make n 0 in
+  let add_consumer ~of_:x c =
+    consumers.(x) <- c :: consumers.(x);
+    n_cons.(x) <- n_cons.(x) + 1;
+    if reduces.(c) then n_red.(x) <- n_red.(x) + 1
+  in
+  Array.iteri
+    (fun c ins -> List.iter (fun x -> add_consumer ~of_:x c) ins)
+    inputs;
+  let blocked = Array.make n 0 in
   (* Decide for each one-relies-on-one TE whether to inline it into all of
      its consumers. *)
-  let should_inline (te : Te.t) =
-    if Te.has_reduction te then false
-    else if Program.SSet.mem te.Te.name outputs then false
-    else begin
-      match Hashtbl.find_opt tally te.Te.name with
-      | None | Some (0, _) -> false
-      | Some (total, reducers) ->
-          let movement = Expr.is_data_movement (Te.body_expr te) in
-          let all_compute_consumers = reducers = 0 in
-          if movement then begin
-            (* folding pure data movement anywhere is free; into reductions
-               it needs the flag (Souffle: yes; restricted baselines: no) *)
-            if all_compute_consumers then true else fold_into_reduce
-          end
-          else
-            (* arithmetic bodies: only into one-relies-on-one consumers, and
-               only when not shared (sharing is served by the §6.5 cache;
-               inlining would recompute) *)
-            all_compute_consumers && total = 1
-    end
+  let should_inline i =
+    if reduces.(i) || is_output.(i) || n_cons.(i) = 0 then false
+    else if Expr.is_data_movement (Te.body_expr body.(i)) then
+      (* folding pure data movement anywhere is free; into reductions it
+         needs the flag (Souffle: yes; restricted baselines: no) *)
+      n_red.(i) = 0 || fold_into_reduce
+    else
+      (* arithmetic bodies: only into one-relies-on-one consumers, and only
+         when not shared (sharing is served by the §6.5 cache; inlining
+         would recompute) *)
+      n_red.(i) = 0 && n_cons.(i) = 1
   in
-  let selected : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (te : Te.t) ->
-      if should_inline te then Hashtbl.replace selected te.Te.name ())
-    p.Program.tes;
-  (* Only inline TEs whose own producers are not being inlined this round:
-     chains resolve bottom-up over successive rounds, so each rewrite stays
-     a single substitution step. *)
-  let inline_map : (string, Te.t) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (te : Te.t) ->
-      if
-        Hashtbl.mem selected te.Te.name
-        && not (List.exists (fun i -> Hashtbl.mem selected i) (inputs te))
-      then Hashtbl.add inline_map te.Te.name te)
-    p.Program.tes;
-  if Hashtbl.length inline_map = 0 then
-    (p, { chains_fused = 0; movement_folded = 0 })
-  else begin
-    (* Don't inline a TE into another TE that is itself being inlined this
-       round *and* forms a chain — handle chains over multiple rounds to
-       keep each rewrite simple. *)
-    let new_tes =
-      List.filter_map
-        (fun (te : Te.t) ->
-          if Hashtbl.mem inline_map te.Te.name then begin
-            Hashtbl.remove inputs_of te.Te.name;
-            None
-          end
-          else begin
-            let te' =
-              List.fold_left
-                (fun acc input ->
-                  match Hashtbl.find_opt inline_map input with
-                  | Some producer ->
-                      if Expr.is_data_movement (Te.body_expr producer) then
-                        incr moved
-                      else incr chains;
-                      fuse ~producer ~consumer:acc
-                  | None -> acc)
-                te (inputs te)
-            in
-            if te' != te then Hashtbl.remove inputs_of te.Te.name;
-            Some te'
+  (* [stamp.(c) = round]: consumer [c] was already rewritten this round *)
+  let stamp = Array.make n (-1) in
+  let chains = ref 0 and moved = ref 0 in
+  let rec go round dirty =
+    if round <= 64 then begin
+      (* 1. re-select the dirty TEs; a flip moves its consumers' [blocked] *)
+      let candidates = ref [] in
+      List.iter
+        (fun i ->
+          if live.(i) then begin
+            let s = should_inline i in
+            if s <> selected.(i) then begin
+              selected.(i) <- s;
+              consumers.(i) <- List.filter (fun c -> live.(c)) consumers.(i);
+              List.iter
+                (fun c ->
+                  blocked.(c) <- (blocked.(c) + if s then 1 else -1);
+                  candidates := c :: !candidates)
+                consumers.(i)
+            end;
+            candidates := i :: !candidates
           end)
-        p.Program.tes
-    in
-    ( { p with Program.tes = new_tes },
-      { chains_fused = !chains; movement_folded = !moved } )
-  end
-
-(** Iterate inlining to a fixpoint. *)
-let apply ?(fold_into_reduce = true) (p : Program.t) : Program.t * stats =
-  let inputs_of : (string, string list) Hashtbl.t =
-    Hashtbl.create (2 * max 1 (List.length p.Program.tes))
-  in
-  let rec go p acc rounds =
-    if rounds > 64 then (p, acc)
-    else begin
-      let p', s = round ~fold_into_reduce ~inputs_of p in
-      if s.chains_fused = 0 && s.movement_folded = 0 then (p, acc)
-      else
-        go p'
-          {
-            chains_fused = acc.chains_fused + s.chains_fused;
-            movement_folded = acc.movement_folded + s.movement_folded;
-          }
-          (rounds + 1)
+        dirty;
+      (* 2. the ready TEs die; their inputs lose a consumer *)
+      let dirty = ref [] in
+      let inlined =
+        List.filter
+          (fun i ->
+            live.(i) && selected.(i) && blocked.(i) = 0
+            && begin
+                 live.(i) <- false;
+                 List.iter
+                   (fun x ->
+                     n_cons.(x) <- n_cons.(x) - 1;
+                     dirty := x :: !dirty)
+                   inputs.(i);
+                 true
+               end)
+          !candidates
+      in
+      if inlined <> [] then begin
+        (* 3. each consumer of an inlined TE folds its dead inputs in *)
+        List.iter
+          (fun i ->
+            List.iter
+              (fun c ->
+                if live.(c) && stamp.(c) <> round then begin
+                  stamp.(c) <- round;
+                  rewrite c;
+                  dirty := c :: !dirty
+                end)
+              consumers.(i))
+          inlined;
+        go (round + 1) !dirty
+      end
     end
+  and rewrite c =
+    let old = inputs.(c) in
+    let te, kept, added =
+      List.fold_left
+        (fun (te, kept, added) x ->
+          if live.(x) then (te, x :: kept, added)
+          else begin
+            let producer = body.(x) in
+            if Expr.is_data_movement (Te.body_expr producer) then incr moved
+            else incr chains;
+            ( fuse ~producer ~consumer:te,
+              kept,
+              List.rev_append inputs.(x) added )
+          end)
+        (body.(c), [], []) old
+    in
+    body.(c) <- te;
+    (* substitution keeps every other read, so the new reads are exactly
+       the kept ones plus the inlined producers', sorted by name as
+       [Te.inputs] sorts them *)
+    let now =
+      List.sort_uniq
+        (fun a b -> String.compare body.(a).Te.name body.(b).Te.name)
+        (List.rev_append kept added)
+    in
+    inputs.(c) <- now;
+    blocked.(c) <- List.length (List.filter (fun x -> selected.(x)) now);
+    (* the inputs [c] newly reads gain a consumer; they are already dirty,
+       as inputs of a TE that died this round *)
+    List.iter (fun x -> if not (List.memq x old) then add_consumer ~of_:x c) now
   in
-  go p { chains_fused = 0; movement_folded = 0 } 0
+  go 0 (List.init n Fun.id);
+  if !chains = 0 && !moved = 0 then
+    (p, { chains_fused = 0; movement_folded = 0 })
+  else
+    let tes = ref [] in
+    for i = n - 1 downto 0 do
+      if live.(i) then tes := body.(i) :: !tes
+    done;
+    ( { p with Program.tes = !tes },
+      { chains_fused = !chains; movement_folded = !moved } )
 
 (** {!apply} as a total function: fault-injection aware, exceptions
     converted to a typed diagnostic for the degradation ladder. *)

@@ -18,7 +18,12 @@ val fuse : producer:Te.t -> consumer:Te.t -> Te.t
 type stats = { chains_fused : int; movement_folded : int }
 
 val apply : ?fold_into_reduce:bool -> Program.t -> Program.t * stats
-(** Iterate inlining to a fixpoint.  [fold_into_reduce] (default true)
+(** Inline in rounds to a fixpoint, at most 65 rounds.  Each round selects
+    from the consumer tallies at its start, inlines the selected TEs that
+    have no selected input (chains resolve bottom-up, one link per round),
+    and folds each consumer's inlined producers in sorted-input order.
+    Tallies, consumer lists and selections are maintained incrementally,
+    so a round costs what it rewrites.  [fold_into_reduce] (default true)
     additionally folds data-movement producers into reduction consumers;
     baselines that cannot fuse across reductions disable it. *)
 

@@ -112,6 +112,86 @@ let test_vertical_reshape_roundtrip () =
   | e -> Alcotest.failf "unexpected body %s" (Expr.to_string e));
   check_equiv "reshape roundtrip" p p'
 
+(* --- vertical round semantics ----------------------------------------
+
+   Vertical runs in rounds: selection reads the consumer tallies at the
+   start of a round, only selected TEs without a selected input are
+   inlined, and the fixpoint stops after 65 rounds.  The expected programs
+   below were recorded from the whole-program-per-round implementation,
+   so an incremental one cannot drift from those semantics unnoticed. *)
+
+let digest (p : Program.t) =
+  Digest.to_hex (Digest.string (Marshal.to_string p [ Marshal.No_sharing ]))
+
+let check_vertical name p ~chains ~moved ~expect =
+  let p', stats = Vertical.apply p in
+  Alcotest.(check int) (name ^ ": chains fused") chains
+    stats.Vertical.chains_fused;
+  Alcotest.(check int) (name ^ ": movement folded") moved
+    stats.Vertical.movement_folded;
+  Alcotest.(check string) (name ^ ": program") expect (Program.to_string p');
+  check_equiv name p p';
+  p'
+
+(* a shared arithmetic producer stays while it has two consumers; once
+   both are inlined into a third TE it is single-consumer and goes in a
+   later round *)
+let test_vertical_shared_becomes_single () =
+  let x = input "x" [| 8 |] in
+  let s = Builder.unary ~name:"s" ~shape:[| 8 |] Sigmoid "x" in
+  let u = Builder.unary ~name:"u" ~shape:[| 8 |] Neg "s" in
+  let v = Builder.unary ~name:"v" ~shape:[| 8 |] Exp "s" in
+  let w = Builder.binary ~name:"w" ~shape:[| 8 |] Add "u" "v" in
+  let p = Program.make ~inputs:[ x ] ~tes:[ s; u; v; w ] ~outputs:[ "w" ] in
+  ignore
+    (check_vertical "shared then single" p ~chains:3 ~moved:0
+       ~expect:
+         "inputs:\n\
+         \  x : f32 (8)\n\
+          tes:\n\
+         \  w(8) : f32 = (neg(sigmoid(x[i0])) + exp(sigmoid(x[i0])))\n\
+          outputs: w")
+
+(* a transpose absorbs its arithmetic producer first, so it is no longer
+   pure data movement and stays out of the GEMM that consumes it *)
+let test_vertical_movement_absorbs_arith () =
+  let a = input "A" [| 5; 7 |] and b = input "B" [| 5; 6 |] in
+  let r = Builder.unary ~name:"R" ~shape:[| 5; 7 |] Relu "A" in
+  let t = Builder.permute ~name:"T" ~in_shape:[| 5; 7 |] ~perm:[| 1; 0 |] "R" in
+  let c = Builder.matmul ~name:"C" ~m:7 ~n:6 ~k:5 "T" "B" in
+  let p = Program.make ~inputs:[ a; b ] ~tes:[ r; t; c ] ~outputs:[ "C" ] in
+  ignore
+    (check_vertical "movement absorbs arith" p ~chains:1 ~moved:0
+       ~expect:
+         "inputs:\n\
+         \  A : f32 (5, 7)\n\
+         \  B : f32 (5, 6)\n\
+          tes:\n\
+         \  T(7, 5) : f32 = relu(A[i1, i0])\n\
+         \  C(7, 6) : f32 = sum(5) (T[i0, r0] * B[r0, i1])\n\
+          outputs: C")
+
+(* a 70-long elementwise chain resolves one link per round, so the 65-round
+   cap leaves its last five TEs *)
+let test_vertical_round_cap () =
+  let x = input "x" [| 4 |] in
+  let tes =
+    List.init 70 (fun i ->
+        let src = if i = 0 then "x" else Fmt.str "t%d" (i - 1) in
+        Builder.unary ~name:(Fmt.str "t%d" i) ~shape:[| 4 |]
+          (if i mod 2 = 0 then Neg else Relu)
+          src)
+  in
+  let p = Program.make ~inputs:[ x ] ~tes ~outputs:[ "t69" ] in
+  let p', stats = Vertical.apply p in
+  Alcotest.(check int) "one link per round" 65 stats.Vertical.chains_fused;
+  Alcotest.(check (list string)) "tail left"
+    [ "t65"; "t66"; "t67"; "t68"; "t69" ]
+    (Program.te_names p');
+  Alcotest.(check string) "program" "70d006f660d2b95e42beabf394d1a2d8"
+    (digest p');
+  check_equiv "round cap" p p'
+
 (* --- horizontal ------------------------------------------------------ *)
 
 (* Fig. 3's example: two GEMMs sharing a reduction variable merge into one
@@ -197,6 +277,86 @@ let test_horizontal_then_vertical () =
   Alcotest.(check bool) "valid" true (Result.is_ok (Program.validate p2));
   check_equiv "horizontal+vertical" p p2
 
+(* a read that no lower depth produces cannot be put in wavefront order:
+   the pass raises, and the total entry point turns that into a typed
+   horizontal diagnostic *)
+let test_horizontal_rejects_undefined_read () =
+  let p = fig3_program () in
+  let bad = Builder.unary ~name:"U3" ~shape:[| 4; 16 |] Relu "missing" in
+  let p = { p with Program.tes = p.Program.tes @ [ bad ] } in
+  match Horizontal.apply_result p with
+  | Ok _ -> Alcotest.fail "undefined read accepted"
+  | Error d ->
+      Alcotest.(check string) "pass" "horizontal" (Diag.pass_name d.Diag.pass);
+      Alcotest.(check bool) "error" true (Diag.is_error d)
+
+(* --- transform oracle -------------------------------------------------
+
+   test/golden/transform_oracle.json holds, for every zoo model at full
+   size, tiny size and batch 8, digests of the program after horizontal
+   and after vertical plus both stats records, recorded from the
+   whole-program-per-round transforms.  The transforms must keep
+   reproducing them exactly. *)
+
+let oracle_variants =
+  [
+    ("full", fun (e : Zoo.entry) -> Lower.run (e.Zoo.full ()));
+    ("tiny", fun (e : Zoo.entry) -> Lower.run (e.Zoo.tiny ()));
+    ( "batch8",
+      fun (e : Zoo.entry) -> Batch.apply ~batch:8 (Lower.run (e.Zoo.full ())) );
+  ]
+
+let test_transform_oracle () =
+  let ic = open_in_bin "golden/transform_oracle.json" in
+  let src =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let entries =
+    match Jsonlite.parse src with
+    | Ok j ->
+        Option.get (Option.bind (Jsonlite.member "entries" j) Jsonlite.to_list)
+    | Error m -> Alcotest.failf "transform_oracle.json: %s" m
+  in
+  let field e k = Option.get (Jsonlite.member k e) in
+  let str e k = Option.get (Jsonlite.to_str (field e k)) in
+  let int e k = int_of_float (Option.get (Jsonlite.to_float (field e k))) in
+  Alcotest.(check int) "one entry per model and variant"
+    (List.length Zoo.all * List.length oracle_variants)
+    (List.length entries);
+  List.iter
+    (fun (e : Zoo.entry) ->
+      List.iter
+        (fun (variant, lower) ->
+          let what = e.Zoo.name ^ "/" ^ variant in
+          let want =
+            match
+              List.find_opt
+                (fun o ->
+                  str o "model" = e.Zoo.name && str o "variant" = variant)
+                entries
+            with
+            | Some o -> o
+            | None -> Alcotest.failf "%s: no oracle entry" what
+          in
+          let h, hs = Horizontal.apply (lower e) in
+          let v, vs = Vertical.apply h in
+          let check k got =
+            Alcotest.(check int) (what ^ " " ^ k) (int want k) got
+          in
+          Alcotest.(check string) (what ^ " horizontal") (str want "horizontal")
+            (digest h);
+          check "groups_merged" hs.Horizontal.groups_merged;
+          check "tes_eliminated" hs.Horizontal.tes_eliminated;
+          Alcotest.(check string) (what ^ " vertical") (str want "vertical")
+            (digest v);
+          check "chains_fused" vs.Vertical.chains_fused;
+          check "movement_folded" vs.Vertical.movement_folded;
+          check "tes_out" (List.length v.Program.tes))
+        oracle_variants)
+    Zoo.all
+
 (* --- qcheck: random elementwise DAGs survive both transforms --------- *)
 
 let random_program (seed : int) : Program.t =
@@ -273,5 +433,13 @@ let suite =
       test_horizontal_outputs_not_merged;
     Alcotest.test_case "horizontal then vertical" `Quick
       test_horizontal_then_vertical;
+    Alcotest.test_case "vertical shared producer inlined later" `Quick
+      test_vertical_shared_becomes_single;
+    Alcotest.test_case "vertical movement absorbs arith" `Quick
+      test_vertical_movement_absorbs_arith;
+    Alcotest.test_case "vertical round cap" `Quick test_vertical_round_cap;
+    Alcotest.test_case "horizontal rejects undefined read" `Quick
+      test_horizontal_rejects_undefined_read;
+    Alcotest.test_case "transform oracle" `Slow test_transform_oracle;
     QCheck_alcotest.to_alcotest qcheck_transforms_preserve_semantics;
   ]
