@@ -45,8 +45,8 @@ let spans_named (t : Obs.trace) (name : string) : int =
    span per kernel — there is no aggregate "emit" span on the ladder path) *)
 let phase_names =
   [
-    "horizontal"; "vertical"; "analysis"; "ansor"; "partition"; "emit-kernel";
-    "verify-ir"; "verify-dataflow"; "simulate";
+    "validate"; "horizontal"; "vertical"; "analysis"; "ansor"; "partition";
+    "emit-kernel"; "verify-ir"; "verify-dataflow"; "simulate";
   ]
 
 (* constructed schedules may not cost more than this fraction of simulated

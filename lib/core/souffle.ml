@@ -627,7 +627,7 @@ let compile_result ?(cfg = default_config) ?(strict = false) (p : Program.t)
       ]
     "compile"
   @@ fun () ->
-  match Program.validate p with
+  match Obs.span "validate" (fun () -> Program.validate p) with
   | Error m -> Error [ Diag.error Diag.Validate ("invalid program: " ^ m) ]
   | Ok () -> (
       match attempt (level_rank cfg.level) with

@@ -58,6 +58,7 @@ let default_options =
 (* ------------------------------------------------------------------ *)
 
 type stage_build = {
+  sidx : int;                    (* position in the kernel's stage list *)
   anchor : Te.t;
   mutable smembers : Te.t list;  (* reverse order, includes anchor *)
 }
@@ -66,30 +67,35 @@ type stage_build = {
    one-relies-on-one TEs attach to their producer's stage (epilogue) or are
    held for the next anchor (prologue). *)
 let build_stages (opts : options) (tes : Te.t list) : Te.t list list =
-  let stages : stage_build list ref = ref [] in
-  let stage_of : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let stages : stage_build list ref = ref [] in  (* newest first *)
+  let n_stages = ref 0 in
+  let stage_of : (string, stage_build) Hashtbl.t = Hashtbl.create 16 in
   let pending = ref [] in
   let pending_names = ref SSet.empty in
   let new_stage (anchor : Te.t) =
     let absorbed = List.rev !pending in
     pending := [];
     pending_names := SSet.empty;
-    let sb = { anchor; smembers = [ anchor ] @ List.rev absorbed } in
-    stages := !stages @ [ sb ];
-    let idx = List.length !stages - 1 in
+    let sb = { sidx = !n_stages; anchor; smembers = anchor :: List.rev absorbed } in
+    incr n_stages;
+    stages := sb :: !stages;
     List.iter
-      (fun (te : Te.t) -> Hashtbl.replace stage_of te.Te.name idx)
-      (anchor :: absorbed);
-    idx
+      (fun (te : Te.t) -> Hashtbl.replace stage_of te.Te.name sb)
+      (anchor :: absorbed)
   in
   List.iter
     (fun (te : Te.t) ->
-      if Te.has_reduction te then ignore (new_stage te)
+      if Te.has_reduction te then new_stage te
       else begin
-        let producer_stages =
-          List.filter_map
-            (fun i -> Hashtbl.find_opt stage_of i)
-            (Te.inputs te)
+        (* the latest stage holding one of the producers *)
+        let producer_stage =
+          List.fold_left
+            (fun acc i ->
+              match (Hashtbl.find_opt stage_of i, acc) with
+              | Some sb, Some best when sb.sidx <= best.sidx -> acc
+              | Some sb, _ -> Some sb
+              | None, _ -> acc)
+            None (Te.inputs te)
         in
         let producer_pending =
           List.exists (fun i -> SSet.mem i !pending_names) (Te.inputs te)
@@ -98,27 +104,26 @@ let build_stages (opts : options) (tes : Te.t list) : Te.t list list =
           pending := te :: !pending;
           pending_names := SSet.add te.Te.name !pending_names
         end
-        else if opts.attach_epilogue && producer_stages <> [] then begin
-          let idx = List.fold_left max 0 producer_stages in
-          let sb = List.nth !stages idx in
+        else if opts.attach_epilogue && producer_stage <> None then begin
+          let sb = Option.get producer_stage in
           (* compute_at only works when the consumer's iteration space is
              no larger than the producer's: a broadcast consumer (e.g. the
              squeeze-excite channel scale) cannot inline *)
           if Te.out_numel te <= Te.out_numel sb.anchor then begin
             sb.smembers <- te :: sb.smembers;
-            Hashtbl.replace stage_of te.Te.name idx
+            Hashtbl.replace stage_of te.Te.name sb
           end
           else if opts.attach_prologue then begin
             pending := te :: !pending;
             pending_names := SSet.add te.Te.name !pending_names
           end
-          else ignore (new_stage te)
+          else new_stage te
         end
         else if opts.attach_prologue then begin
           pending := te :: !pending;
           pending_names := SSet.add te.Te.name !pending_names
         end
-        else ignore (new_stage te)
+        else new_stage te
       end)
     tes;
   (* leftover prologue TEs with no anchor behind them form a final stage *)
@@ -128,9 +133,9 @@ let build_stages (opts : options) (tes : Te.t list) : Te.t list list =
          pending := List.rev rest;
          pending_names :=
            SSet.of_list (List.map (fun (te : Te.t) -> te.Te.name) rest);
-         ignore (new_stage first)
+         new_stage first
      | [] -> ());
-  List.map (fun sb -> List.rev sb.smembers) !stages
+  List.rev_map (fun sb -> List.rev sb.smembers) !stages
 
 (* ------------------------------------------------------------------ *)
 
@@ -152,6 +157,25 @@ let emit_kernel (dev : Device.t) (p : Program.t) (an : Analysis.t)
     | Some s -> s
     | None -> Sched.default_elementwise (Program.find_te_exn p name)
   in
+  (* input-tile elements of a stage anchor; its tile plan is resolved once
+     and serves both the L2 re-read traffic and the launch's shared
+     memory *)
+  let plans : (string, Sched.tile_plan) Hashtbl.t = Hashtbl.create 16 in
+  let in_elems (te : Te.t) (s : Sched.t) =
+    let plan =
+      match Hashtbl.find_opt plans te.Te.name with
+      | Some pl -> pl
+      | None ->
+          let pl = Sched.tile_plan p te in
+          Hashtbl.add plans te.Te.name pl;
+          pl
+    in
+    Sched.plan_tile_elems s plan
+  in
+  let smem_bytes (te : Te.t) (s : Sched.t) =
+    Sched.smem_bytes_of_elems te s
+      ~in_elems:(if s.Sched.cache_read_smem then in_elems te s else 0)
+  in
   let cache =
     Reuse_cache.create
       ~capacity:
@@ -165,7 +189,6 @@ let emit_kernel (dev : Device.t) (p : Program.t) (an : Analysis.t)
         let stages_tes =
           if opts.concurrent_stages then [ tes ] else build_stages opts tes
         in
-        let member_set = SSet.of_list g.g_tes in
         (* per-kernel state *)
         Reuse_cache.clear cache;
         let touched = ref SSet.empty in
@@ -176,19 +199,17 @@ let emit_kernel (dev : Device.t) (p : Program.t) (an : Analysis.t)
               (fun (te : Te.t) -> Hashtbl.replace stage_of te.Te.name si)
               tl)
           stages_tes;
-        let consumed_outside (te : Te.t) =
-          SSet.mem te.Te.name outputs
-          || List.exists
-               (fun (c : Te.t) -> not (SSet.mem c.Te.name member_set))
-               (Option.value ~default:[]
-                  (SMap.find_opt te.Te.name consumers))
-        in
-        let consumed_in_later_stage (te : Te.t) si =
-          List.exists
-            (fun (c : Te.t) ->
+        (* every member sits in exactly one stage *)
+        let is_member name = Hashtbl.mem stage_of name in
+        (* whether [te]'s output is read outside this kernel (or is a
+           program output), and whether a later stage of it reads it *)
+        let consumed (te : Te.t) si =
+          List.fold_left
+            (fun (outside, later) (c : Te.t) ->
               match Hashtbl.find_opt stage_of c.Te.name with
-              | Some sj -> sj > si
-              | None -> false)
+              | Some sj -> (outside, later || sj > si)
+              | None -> (true, later))
+            (SSet.mem te.Te.name outputs, false)
             (Option.value ~default:[] (SMap.find_opt te.Te.name consumers))
         in
         let kstages =
@@ -237,16 +258,12 @@ let emit_kernel (dev : Device.t) (p : Program.t) (an : Analysis.t)
                   List.iter
                     (fun input ->
                       let bytes = tensor_bytes p input in
-                      let same_stage =
-                        match Hashtbl.find_opt stage_of input with
-                        | Some sj -> sj = my_stage
-                        | None -> false
-                      in
-                      if same_stage then
+                      let input_stage = Hashtbl.find_opt stage_of input in
+                      if input_stage = Some my_stage then
                         (* producer in the same fused stage: register/smem *)
                         push (Kernel_ir.lds ~tensor:input bytes)
                       else begin
-                        let in_kernel = SSet.mem input member_set in
+                        let in_kernel = Option.is_some input_stage in
                         let produced = Program.producer p input <> None in
                         if
                           in_kernel && opts.reuse_cache
@@ -277,7 +294,11 @@ let emit_kernel (dev : Device.t) (p : Program.t) (an : Analysis.t)
                         (fun acc i -> acc + tensor_bytes p i)
                         0 (Te.inputs te)
                     in
-                    let extra = Sched.tiled_load_bytes p te asched - unique in
+                    let extra =
+                      Sched.tiled_load_bytes_of_elems te asched
+                        ~in_elems:(in_elems te asched)
+                      - unique
+                    in
                     (* aggregate over several tensors: left untagged *)
                     if extra > 0 then push (Kernel_ir.ldl2 extra)
                   end;
@@ -300,14 +321,13 @@ let emit_kernel (dev : Device.t) (p : Program.t) (an : Analysis.t)
                          && (Analysis.info an te.Te.name).Analysis.kind
                             = Intensity.Memory_intensive
                          && List.exists
-                              (fun i -> SSet.mem i member_set)
+                              is_member
                               (Te.inputs te))
                         || te_sched.Sched.rsplit > 1)
                   in
                   (* ---- writes ---- *)
                   let out_bytes = Te.out_numel te * Dtype.bytes te.Te.dtype in
-                  let outside = consumed_outside te in
-                  let later = consumed_in_later_stage te my_stage in
+                  let outside, later = consumed te my_stage in
                   if is_fused_reduction then begin
                     push
                       (Kernel_ir.atomic_add ~tensor:te.Te.name
@@ -390,7 +410,7 @@ let emit_kernel (dev : Device.t) (p : Program.t) (an : Analysis.t)
               let s = sched anchor.Te.name in
               ( max g' (Sched.grid_blocks anchor s),
                 max t' s.Sched.threads_per_block,
-                max s' (Sched.smem_bytes p anchor s),
+                max s' (smem_bytes anchor s),
                 max r' (Sched.regs_per_thread s) ))
             (1, 32, 0, 16) stages_tes
         in

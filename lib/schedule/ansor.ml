@@ -70,44 +70,37 @@ let efficiency cfg ~tensor_core (s : Sched.t) =
 
 (** Everything about (program, TE) the latency estimate needs but that does
     not depend on the candidate schedule — computed once per TE instead of
-    once per candidate (the search visits hundreds of candidates per TE). *)
+    once per candidate (the search visits hundreds of candidates per TE).
+    [plan] is the body's input-tile footprint with every read's variable
+    sets and size cap already resolved. *)
 type cost_ctx = {
   unique_in_bytes : int;
   out_bytes : int;
   flops : int;
-  body : Expr.t;
-  numel_of : string -> int option;
+  plan : Sched.tile_plan;
 }
 
 let cost_ctx (p : Program.t) (te : Te.t) : cost_ctx =
-  let elem_bytes name =
-    let info = Program.tensor_info_exn p name in
-    Dtype.bytes info.Program.dtype
-  in
   let unique_in_bytes =
     List.fold_left
       (fun acc name ->
-        acc
-        + Shape.numel (Program.tensor_info_exn p name).Program.shape
-          * elem_bytes name)
+        let info = Program.tensor_info_exn p name in
+        acc + (Shape.numel info.Program.shape * Dtype.bytes info.Program.dtype))
       0 (Te.inputs te)
   in
   {
     unique_in_bytes;
     out_bytes = Te.out_numel te * Dtype.bytes te.Te.dtype;
     flops = Te.arith_ops te;
-    body = Te.body_expr te;
-    numel_of = Sched.numel_of_program p;
+    plan = Sched.tile_plan p te;
   }
 
-(** Analytical latency (µs) of running [te] alone under schedule [s], with
-    the per-TE invariants supplied as [ctx]. *)
-let estimate_us_ctx (dev : Device.t) (ctx : cost_ctx) (te : Te.t)
-    (s : Sched.t) : float =
+(* The latency model proper, given the candidate's input-tile elements and
+   resource usage (both derived from [ctx.plan] by the callers). *)
+let estimate_of_elems (dev : Device.t) (ctx : cost_ctx) (te : Te.t)
+    (s : Sched.t) ~(in_elems : int) ~(usage : Occupancy.usage) : float =
   let grid = Sched.grid_blocks te s in
-  let total_loaded =
-    Sched.tiled_load_bytes_with ~numel_of:ctx.numel_of ~body:ctx.body te s
-  in
+  let total_loaded = Sched.tiled_load_bytes_of_elems te s ~in_elems in
   let l2_extra = max 0 (total_loaded - ctx.unique_in_bytes) in
   let atomic_bytes = ctx.out_bytes * (max 1 s.Sched.rsplit - 1) in
   let dram_us =
@@ -133,9 +126,30 @@ let estimate_us_ctx (dev : Device.t) (ctx : cost_ctx) (te : Te.t)
   let body =
     Float.max mem_us comp_us +. ((1. -. overlap) *. Float.min mem_us comp_us)
   in
-  let usage = Sched.usage_with ~numel_of:ctx.numel_of ~body:ctx.body te s in
   let waves = Occupancy.waves dev usage ~grid_blocks:grid in
   body +. (0.3 *. float_of_int (max 1 waves))
+
+(** Analytical latency (µs) of running [te] alone under schedule [s], with
+    the per-TE invariants supplied as [ctx]. *)
+let estimate_us_ctx (dev : Device.t) (ctx : cost_ctx) (te : Te.t)
+    (s : Sched.t) : float =
+  let in_elems = Sched.plan_tile_elems s ctx.plan in
+  estimate_of_elems dev ctx te s ~in_elems
+    ~usage:(Sched.usage_of_elems te s ~in_elems)
+
+(** {!estimate_us_ctx} behind the feasibility check both schedulers apply
+    to every candidate: [None] when the block cannot fit an SM.  The tile
+    plan is evaluated once for both. *)
+let feasible_cost_ctx (dev : Device.t) (ctx : cost_ctx) (te : Te.t)
+    (s : Sched.t) : float option =
+  let in_elems = Sched.plan_tile_elems s ctx.plan in
+  let u = Sched.usage_of_elems te s ~in_elems in
+  if
+    u.Occupancy.smem_per_block <= dev.Device.max_smem_per_block
+    && u.Occupancy.threads_per_block <= dev.Device.max_threads_per_block
+    && Occupancy.blocks_per_sm dev u >= 1
+  then Some (estimate_of_elems dev ctx te s ~in_elems ~usage:u)
+  else None
 
 (** Analytical latency (µs) of running [te] alone under schedule [s]. *)
 let estimate_us (dev : Device.t) (p : Program.t) (te : Te.t) (s : Sched.t) :
@@ -286,19 +300,12 @@ let schedule_te ?(config = default_config) ?(space = Full) (dev : Device.t)
               efficiency config ~tensor_core:s.Sched.use_tensor_core s;
           }
         in
-        let u =
-          Sched.usage_with ~numel_of:ctx.numel_of ~body:ctx.body te s
-        in
-        if
-          u.Occupancy.smem_per_block <= dev.Device.max_smem_per_block
-          && u.Occupancy.threads_per_block <= dev.Device.max_threads_per_block
-          && Occupancy.blocks_per_sm dev u >= 1
-        then begin
-          let c = estimate_us_ctx dev ctx te s in
-          match !best with
-          | Some (_, bc) when bc <= c -> ()
-          | _ -> best := Some (s, c)
-        end)
+        match feasible_cost_ctx dev ctx te s with
+        | None -> ()
+        | Some c -> (
+            match !best with
+            | Some (_, bc) when bc <= c -> ()
+            | _ -> best := Some (s, c)))
       (candidates ~dev ~space te);
     match !best with
     | None ->
@@ -316,25 +323,65 @@ let schedule_te ?(config = default_config) ?(space = Full) (dev : Device.t)
     count, output and input dtypes).  Two TEs with equal keys receive
     bit-identical schedules, which is what makes both the per-program memo
     table and the persistent cross-run cache sound. *)
+(* The configuration part of every key, shared by all TEs of one
+   [schedule_program] call. *)
+let key_prefix ~mode ~config (dev : Device.t) : string =
+  Printf.sprintf "%s|mode=%s|eff=%.4f|" dev.Device.name (mode_tag mode)
+    config.eff_cap
+
+(* Append the TE part of the key to [buf], which already holds the prefix.
+   The text is byte-for-byte what persisted schedule caches were keyed
+   with, so it must not change. *)
+let add_te_key (buf : Buffer.t) (p : Program.t) (te : Te.t) : unit =
+  let add_ints ~sep a =
+    Array.iteri
+      (fun i d ->
+        if i > 0 then Buffer.add_string buf sep;
+        Buffer.add_string buf (string_of_int d))
+      a
+  in
+  let rec reads acc = function
+    | Expr.Const _ | Expr.IdxVal _ -> acc
+    | Expr.Read _ -> acc + 1
+    | Expr.Unop (_, a) -> reads acc a
+    | Expr.Binop (_, a, b) | Expr.Select (_, a, b) -> reads (reads acc a) b
+  in
+  Buffer.add_string buf "out=(";
+  add_ints ~sep:", " te.Te.out_shape;
+  Buffer.add_string buf ")|red=";
+  add_ints ~sep:"x" (Te.reduce_axes te);
+  Buffer.add_string buf "|tag=";
+  Buffer.add_string buf te.Te.tag;
+  Buffer.add_string buf "|ops=";
+  Buffer.add_string buf (string_of_int (Te.arith_ops te));
+  Buffer.add_string buf "|acc=";
+  Buffer.add_string buf (string_of_int (reads 0 (Te.body_expr te)));
+  Buffer.add_string buf "|dt=";
+  Buffer.add_string buf (Dtype.to_string te.Te.dtype);
+  Buffer.add_string buf "<-";
+  List.iteri
+    (fun i name ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf
+        (match Program.tensor_info p name with
+        | Some info -> Dtype.to_string info.Program.dtype
+        | None -> "?"))
+    (Te.inputs te)
+
+(** Canonical structural key of a TE for schedule reuse: device, the
+    scheduling mode that produced the schedule, the scheduling-relevant
+    part of the search configuration ([eff_cap] — and deliberately {e not}
+    [search_domains], which never changes results), and the TE's structure
+    (output shape, reduction axes, provenance tag, arithmetic ops, access
+    count, output and input dtypes).  Two TEs with equal keys receive
+    bit-identical schedules, which is what makes both the per-program memo
+    table and the persistent cross-run cache sound. *)
 let structural_key ?(mode = Exhaustive) ?(config = default_config)
     (dev : Device.t) (p : Program.t) (te : Te.t) : string =
-  let in_dtypes =
-    Te.inputs te
-    |> List.map (fun name ->
-           match Program.tensor_info p name with
-           | Some i -> Dtype.to_string i.Program.dtype
-           | None -> "?")
-    |> String.concat ","
-  in
-  Fmt.str "%s|mode=%s|eff=%.4f|out=%s|red=%s|tag=%s|ops=%d|acc=%d|dt=%s<-%s"
-    dev.Device.name (mode_tag mode) config.eff_cap
-    (Shape.to_string te.Te.out_shape)
-    (String.concat "x"
-       (List.map string_of_int (Array.to_list (Te.reduce_axes te))))
-    te.Te.tag (Te.arith_ops te)
-    (List.length (Te.accesses te))
-    (Dtype.to_string te.Te.dtype)
-    in_dtypes
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf (key_prefix ~mode ~config dev);
+  add_te_key buf p te;
+  Buffer.contents buf
 
 (** A pluggable schedule store consulted before (and fed after) the
     candidate search — the hook the in-memory ladder cache and the
@@ -416,17 +463,34 @@ let schedule_program ?(scheduler = exhaustive_scheduler)
   @@ fun () ->
   let mode = scheduler.s_mode in
   let schedule_one te = scheduler.s_schedule ~config ~space dev p te in
+  (* one key per reduction TE, built once; a TE without a reduction takes
+     the default schedule directly — every scheduler returns exactly that
+     for it, so there is nothing to search or store *)
+  let prefix = key_prefix ~mode ~config dev in
+  let buf = Buffer.create 128 in
+  let keyed =
+    List.map
+      (fun (te : Te.t) ->
+        if not (Te.has_reduction te) then (te, None)
+        else begin
+          Buffer.clear buf;
+          Buffer.add_string buf prefix;
+          add_te_key buf p te;
+          (te, Some (Buffer.contents buf))
+        end)
+      p.Program.tes
+  in
   (* the unique structural keys, in first-occurrence program order *)
   let key_of = Hashtbl.create 64 in
   let uniq = ref [] in
   List.iter
-    (fun (te : Te.t) ->
-      let key = structural_key ~mode ~config dev p te in
-      if not (Hashtbl.mem key_of key) then begin
-        Hashtbl.add key_of key te;
-        uniq := (key, te) :: !uniq
-      end)
-    p.Program.tes;
+    (fun (te, key) ->
+      match key with
+      | Some key when not (Hashtbl.mem key_of key) ->
+          Hashtbl.add key_of key ();
+          uniq := (key, te) :: !uniq
+      | _ -> ())
+    keyed;
   let uniq = List.rev !uniq in
   (* resolve what we can from the store before searching anything *)
   let resolved : (string, Sched.t) Hashtbl.t = Hashtbl.create 64 in
@@ -522,12 +586,19 @@ let schedule_program ?(scheduler = exhaustive_scheduler)
   (* merge into the per-TE table in program order *)
   let table = Hashtbl.create 64 in
   List.iter
-    (fun (te : Te.t) ->
-      let key = structural_key ~mode ~config dev p te in
-      match Hashtbl.find_opt resolved key with
-      | Some s -> Hashtbl.replace table te.Te.name { s with Sched.te_name = te.Te.name }
-      | None -> assert false)
-    p.Program.tes;
+    (fun ((te : Te.t), key) ->
+      let s =
+        match key with
+        | None ->
+            { (Sched.default_elementwise te) with
+              Sched.compute_eff = config.eff_cap }
+        | Some key -> (
+            match Hashtbl.find_opt resolved key with
+            | Some s -> { s with Sched.te_name = te.Te.name }
+            | None -> assert false)
+      in
+      Hashtbl.replace table te.Te.name s)
+    keyed;
   table
 
 (** {!schedule_program} as a total function: fault-injection aware,

@@ -100,13 +100,7 @@ let schedule_te ?(config = Ansor.default_config) (dev : Device.t)
       in
       (* feasibility-checked cost; [None] when the block cannot fit an SM *)
       let cost (s : Sched.t) : float option =
-        let u = Sched.usage_with ~numel_of:ctx.Ansor.numel_of ~body:ctx.Ansor.body te s in
-        if
-          u.Occupancy.smem_per_block <= dev.Device.max_smem_per_block
-          && u.Occupancy.threads_per_block <= dev.Device.max_threads_per_block
-          && Occupancy.blocks_per_sm dev u >= 1
-        then Some (Ansor.estimate_us_ctx dev ctx te s)
-        else None
+        Ansor.feasible_cost_ctx dev ctx te s
       in
       let last_of l = List.nth l (List.length l - 1) in
       (* seed large: big tiles amortize prologue/epilogue, and descent only

@@ -31,47 +31,57 @@ let grid_blocks (te : Te.t) (s : t) : int =
 
 let tile_elems s = Array.fold_left ( * ) 1 s.tile
 
-(* Elements of one input tile: the product of the tile factors of the
-   distinct iteration/reduction variables the access uses, capped at the
-   tensor's total size.  Var-set accounting (rather than per-dimension
-   products) stays correct for composite div/mod indices where the same
-   variable appears in several dimensions (reshape/transpose folds). *)
-let input_tile_elems ?numel (s : t) (idxs : Index.t list) : int =
-  let module IS = Set.Make (struct
-    type t = [ `Out of int | `Red of int ]
+(* ---- input-tile footprint ------------------------------------------- *)
 
-    let compare = compare
-  end) in
-  let vars =
+(* One tensor read, resolved for tiling once per TE: the distinct
+   iteration and reduction variables its indices use, and the tensor's
+   total size as the cap ([max_int] when unknown).  Var-set accounting
+   (rather than per-dimension products) stays correct for composite
+   div/mod indices where the same variable appears in several dimensions
+   (reshape/transpose folds). *)
+type read_plan = { outs : int array; reds : int array; cap : int }
+
+(** A TE body's input-tile footprint with everything that does not depend
+    on the schedule resolved: reads summed across [Binop]s, the larger of
+    two [Select] branches taken (branches with disjoint predicates —
+    horizontal merges, padding guards — are walked by different blocks,
+    never by one).  Built once per TE, evaluated once per candidate
+    schedule. *)
+type tile_plan = Read of read_plan | Sum of tile_plan list | Max of tile_plan * tile_plan
+
+let read_plan ?numel (idxs : Index.t list) : read_plan =
+  let outs, reds =
     List.fold_left
-      (fun acc idx -> Index.fold_vars (fun a v -> IS.add v a) acc idx)
-      IS.empty idxs
+      (fun acc idx ->
+        Index.fold_vars
+          (fun (o, r) v ->
+            match v with `Out k -> (k :: o, r) | `Red k -> (o, k :: r))
+          acc idx)
+      ([], []) idxs
   in
-  let prod =
-    IS.fold
-      (fun v acc ->
-        match v with
-        | `Out k ->
-            acc * (if k < Array.length s.tile then max 1 s.tile.(k) else 1)
-        | `Red k ->
-            acc * (if k < Array.length s.rtile then max 1 s.rtile.(k) else 1))
-      vars 1
-  in
-  match numel with Some n -> min prod (max 1 n) | None -> prod
+  let uniq l = Array.of_list (List.sort_uniq Int.compare l) in
+  {
+    outs = uniq outs;
+    reds = uniq reds;
+    cap = (match numel with Some n -> max 1 n | None -> max_int);
+  }
 
-(* Input-tile elements of a whole body.  Select branches with disjoint
-   predicates (horizontal merges, padding guards) contribute the *largest*
-   branch, not the sum: one block only ever walks one branch.
-   [numel_of] caps each access by its tensor's size when known. *)
-let rec body_tile_elems ~numel_of (s : t) (e : Expr.t) : int =
-  match e with
-  | Expr.Read (name, idxs) -> input_tile_elems ?numel:(numel_of name) s idxs
-  | Expr.Const _ | Expr.IdxVal _ -> 0
-  | Expr.Unop (_, a) -> body_tile_elems ~numel_of s a
-  | Expr.Binop (_, a, b) ->
-      body_tile_elems ~numel_of s a + body_tile_elems ~numel_of s b
-  | Expr.Select (_, a, b) ->
-      max (body_tile_elems ~numel_of s a) (body_tile_elems ~numel_of s b)
+let read_elems (s : t) (r : read_plan) : int =
+  let prod = ref 1 in
+  Array.iter
+    (fun k ->
+      if k < Array.length s.tile then prod := !prod * max 1 s.tile.(k))
+    r.outs;
+  Array.iter
+    (fun k ->
+      if k < Array.length s.rtile then prod := !prod * max 1 s.rtile.(k))
+    r.reds;
+  min !prod r.cap
+
+(** Elements of one input tile: the product of the tile factors of the
+    distinct variables the access uses, capped at [numel]. *)
+let input_tile_elems ?numel (s : t) (idxs : Index.t list) : int =
+  read_elems s (read_plan ?numel idxs)
 
 let numel_of_program (p : Program.t) : string -> int option =
  fun name ->
@@ -79,35 +89,49 @@ let numel_of_program (p : Program.t) : string -> int option =
     (fun (i : Program.tensor_info) -> Shape.numel i.Program.shape)
     (Program.tensor_info p name)
 
-(** {!smem_bytes} with the per-TE invariants ([numel_of] closure, body
-    expression) hoisted out — the Ansor search calls this once per
-    candidate, so the invariants must not be rebuilt per call. *)
-let smem_bytes_with ~numel_of ~(body : Expr.t) (te : Te.t) (s : t) : int =
+(** Resolve [te]'s body into its {!tile_plan}; each read is capped by its
+    tensor's size in [p]. *)
+let tile_plan (p : Program.t) (te : Te.t) : tile_plan =
+  let rec terms e acc =
+    match e with
+    | Expr.Read (name, idxs) ->
+        Read (read_plan ?numel:(numel_of_program p name) idxs) :: acc
+    | Expr.Const _ | Expr.IdxVal _ -> acc
+    | Expr.Unop (_, a) -> terms a acc
+    | Expr.Binop (_, a, b) -> terms a (terms b acc)
+    | Expr.Select (_, a, b) -> Max (plan a, plan b) :: acc
+  and plan e = match terms e [] with [ t ] -> t | ts -> Sum ts in
+  plan (Te.body_expr te)
+
+let rec plan_tile_elems (s : t) (pl : tile_plan) : int =
+  match pl with
+  | Read r -> read_elems s r
+  | Sum ts -> List.fold_left (fun acc t -> acc + plan_tile_elems s t) 0 ts
+  | Max (a, b) -> max (plan_tile_elems s a) (plan_tile_elems s b)
+
+(** Shared memory one block needs when its input tiles hold [in_elems]
+    elements: the output tile plus (when staging reads) the input tiles of
+    one branch of the body, double-buffered for the async-copy pipeline.
+    [in_elems] is ignored when the schedule does not stage its reads. *)
+let smem_bytes_of_elems (te : Te.t) (s : t) ~(in_elems : int) : int =
   let elem_bytes = Dtype.bytes te.Te.dtype in
   let out = tile_elems s * elem_bytes in
-  let ins =
-    if not s.cache_read_smem then 0
-    else body_tile_elems ~numel_of s body * elem_bytes
-  in
-  (* double buffering of staged inputs for the async-copy pipeline *)
+  let ins = if not s.cache_read_smem then 0 else in_elems * elem_bytes in
   out + (2 * ins)
 
-(** Shared memory one block needs: the output tile plus (when staging reads)
-    the input tiles of one branch of the body, double-buffered. *)
+(** {!smem_bytes_of_elems} for a one-off query: the plan is only resolved
+    when the schedule stages its reads at all. *)
 let smem_bytes (p : Program.t) (te : Te.t) (s : t) : int =
-  smem_bytes_with ~numel_of:(numel_of_program p) ~body:(Te.body_expr te) te s
+  let in_elems =
+    if s.cache_read_smem then plan_tile_elems s (tile_plan p te) else 0
+  in
+  smem_bytes_of_elems te s ~in_elems
 
 (** Bytes one full pass of a reduction TE loads through its tiles (the
-    block-by-block traffic; anything beyond the unique footprint hits L2).
-    Hoisted-invariant form; see {!smem_bytes_with}. *)
-let tiled_load_bytes_with ~numel_of ~(body : Expr.t) (te : Te.t) (s : t) : int
-    =
-  let grid = grid_blocks te s in
-  body_tile_elems ~numel_of s body * Dtype.bytes te.Te.dtype * grid
-
-let tiled_load_bytes (p : Program.t) (te : Te.t) (s : t) : int =
-  tiled_load_bytes_with ~numel_of:(numel_of_program p) ~body:(Te.body_expr te)
-    te s
+    block-by-block traffic; anything beyond the unique footprint hits L2),
+    given the per-block input-tile elements. *)
+let tiled_load_bytes_of_elems (te : Te.t) (s : t) ~(in_elems : int) : int =
+  in_elems * Dtype.bytes te.Te.dtype * grid_blocks te s
 
 (** Registers per thread: accumulator fragment plus addressing/loop
     overhead. *)
@@ -115,16 +139,19 @@ let regs_per_thread (s : t) : int =
   let acc_per_thread = tile_elems s / max 1 s.threads_per_block in
   min 255 (16 + (2 * max 1 acc_per_thread))
 
-let usage_with ~numel_of ~(body : Expr.t) (te : Te.t) (s : t) :
-    Occupancy.usage =
+let usage_of_elems (te : Te.t) (s : t) ~(in_elems : int) : Occupancy.usage =
   {
     Occupancy.threads_per_block = s.threads_per_block;
-    smem_per_block = smem_bytes_with ~numel_of ~body te s;
+    smem_per_block = smem_bytes_of_elems te s ~in_elems;
     regs_per_thread = regs_per_thread s;
   }
 
 let usage (p : Program.t) (te : Te.t) (s : t) : Occupancy.usage =
-  usage_with ~numel_of:(numel_of_program p) ~body:(Te.body_expr te) te s
+  {
+    Occupancy.threads_per_block = s.threads_per_block;
+    smem_per_block = smem_bytes p te s;
+    regs_per_thread = regs_per_thread s;
+  }
 
 (** Structural tensor-core eligibility: a sum-reduction whose body is a
     product of two reads (GEMM-shaped).  The paper runs GEMMs in FP16 on

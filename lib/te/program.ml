@@ -23,12 +23,15 @@ let te_names p = List.map (fun (te : Te.t) -> te.Te.name) p.tes
 
 (* [t] is an immutable record that transformations rebuild freely with
    [{ p with tes = ... }], so a name index cannot live inside the record
-   without going stale.  Instead a small side memo keyed by the *physical
-   identity* of the program value caches one index per program generation;
-   entries die with their program (weak keys).  Access is mutex-guarded so
-   parallel Ansor-search domains can consult the index concurrently — the
-   cached tables themselves are never mutated after construction, making
-   unsynchronized concurrent reads safe. *)
+   without going stale.  Instead a side memo keyed by the *physical
+   identity* of the program value caches one index per program generation.
+   The memo is an ephemeron table: an index is reachable only while its
+   program is, so it dies at the first major collection after the program
+   does, and a compile's intermediate programs take their indexes with
+   them.  Access is mutex-guarded so parallel Ansor-search
+   domains can consult the index concurrently — the cached tables
+   themselves are never mutated after construction, making unsynchronized
+   concurrent reads safe. *)
 
 type index = {
   te_by_name : (string, Te.t) Hashtbl.t;
@@ -39,8 +42,22 @@ type index = {
           the guard keeps the whole index domain-safe) *)
 }
 
-let index_memo : (Obj.t Weak.t * index) list ref = ref []
+(* Keys compare physically; the structural hash only spreads them over
+   buckets (equal hashes for distinct programs just share a bucket). *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = Obj.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let index_memo : index Memo.t = Memo.create 16
 let index_lock = Mutex.create ()
+
+(* The last program looked up, so the run of lookups one pass makes on
+   one program does not hash it every time.  An ephemeron too: it must
+   not keep that program's index alive. *)
+let last_index : (Obj.t, index) Ephemeron.K1.t option ref = ref None
 
 let build_index (p : t) : index =
   let n = List.length p.tes in
@@ -66,21 +83,18 @@ let build_index (p : t) : index =
 let index_of (p : t) : index =
   let key = Obj.repr p in
   Mutex.protect index_lock @@ fun () ->
-  let hit =
-    List.find_opt
-      (fun (w, _) -> match Weak.get w 0 with Some o -> o == key | None -> false)
-      !index_memo
-  in
-  match hit with
-  | Some (_, idx) -> idx
+  match Option.bind !last_index (fun e -> Ephemeron.K1.query e key) with
+  | Some idx -> idx
   | None ->
-      let idx = build_index p in
-      let w = Weak.create 1 in
-      Weak.set w 0 (Some key);
-      (* drop dead generations so the memo stays a handful of entries *)
-      index_memo :=
-        (w, idx)
-        :: List.filter (fun (w, _) -> Weak.check w 0) !index_memo;
+      let idx =
+        match Memo.find_opt index_memo key with
+        | Some idx -> idx
+        | None ->
+            let idx = build_index p in
+            Memo.replace index_memo key idx;
+            idx
+      in
+      last_index := Some (Ephemeron.K1.make key idx);
       idx
 
 (** Force the index to exist — called before fanning work out to domains so
@@ -171,10 +185,14 @@ let depends ~on:a p b = SSet.mem b (descendants p a)
 (** Check that every read is either an input or an earlier TE, and every
     output exists — i.e. the list really is in topological order. *)
 let validate p =
-  let rec go seen = function
+  let seen : (string, unit) Hashtbl.t =
+    Hashtbl.create (2 * (List.length p.inputs + List.length p.tes))
+  in
+  List.iter (fun (name, _) -> Hashtbl.replace seen name ()) p.inputs;
+  let rec go = function
     | [] ->
         let missing =
-          List.filter (fun o -> not (SSet.mem o seen)) p.outputs
+          List.filter (fun o -> not (Hashtbl.mem seen o)) p.outputs
         in
         if missing = [] then Ok ()
         else Error ("Program: undefined outputs: " ^ String.concat "," missing)
@@ -183,17 +201,20 @@ let validate p =
         | Error m -> Error m
         | Ok () ->
             let unknown =
-              List.filter (fun i -> not (SSet.mem i seen)) (Te.inputs te)
+              List.filter (fun i -> not (Hashtbl.mem seen i)) (Te.inputs te)
             in
             if unknown <> [] then
               Error
                 (Fmt.str "Program: TE %s reads undefined tensors: %s" te.Te.name
                    (String.concat "," unknown))
-            else if SSet.mem te.Te.name seen then
+            else if Hashtbl.mem seen te.Te.name then
               Error ("Program: duplicate tensor " ^ te.Te.name)
-            else go (SSet.add te.Te.name seen) rest)
+            else begin
+              Hashtbl.replace seen te.Te.name ();
+              go rest
+            end)
   in
-  go (SSet.of_list (input_names p)) p.tes
+  go p.tes
 
 (** Tensors read by TEs appearing after the given position, plus program
     outputs — the live set used for buffer-reuse decisions. *)
@@ -210,56 +231,6 @@ let live_after p pos =
       SSet.empty later
   in
   SSet.union read_later (SSet.of_list p.outputs)
-
-(** Stable topological re-sort: keeps the original relative order wherever
-    dependencies allow.  Used after transformations that insert or merge TEs
-    out of place.
-
-    The order produced is the classic wavefront order: wave [k] holds every
-    TE whose producers all sit in earlier waves, waves emitted in
-    increasing order with the original relative order kept inside each
-    wave.  It is computed as one memoized longest-producer-chain walk over
-    the {!find_te} name index plus a stable sort — O(V + E + n log n) —
-    instead of repeatedly re-scanning the not-yet-placed list, which was
-    quadratic in the wavefront depth and dominated whole-model compile
-    time on deep programs (LSTM's step chain).  The sort compares the
-    precomputed int waves, not names. *)
-let toposort (p : t) : t =
-  let inputs = SSet.of_list (input_names p) in
-  let idx = index_of p in
-  let n = List.length p.tes in
-  let wave : (string, int) Hashtbl.t = Hashtbl.create (2 * max 1 n) in
-  let visiting : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let stuck (te : Te.t) =
-    invalid_arg
-      ("Program.toposort: cycle or undefined input involving " ^ te.Te.name)
-  in
-  let rec wave_of (te : Te.t) : int =
-    match Hashtbl.find_opt wave te.Te.name with
-    | Some w -> w
-    | None ->
-        if Hashtbl.mem visiting te.Te.name then stuck te;
-        Hashtbl.add visiting te.Te.name ();
-        let w =
-          List.fold_left
-            (fun acc i ->
-              if SSet.mem i inputs then acc
-              else
-                match Hashtbl.find_opt idx.te_by_name i with
-                | Some prod -> max acc (wave_of prod + 1)
-                | None -> stuck te)
-            0 (Te.inputs te)
-        in
-        Hashtbl.remove visiting te.Te.name;
-        Hashtbl.add wave te.Te.name w;
-        w
-  in
-  let tes =
-    List.map (fun te -> (wave_of te, te)) p.tes
-    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map snd
-  in
-  { p with tes }
 
 let total_arith_ops p =
   List.fold_left (fun acc te -> acc + Te.arith_ops te) 0 p.tes

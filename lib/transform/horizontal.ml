@@ -174,9 +174,9 @@ type stats = { groups_merged : int; tes_eliminated : int }
 (** Apply horizontal merging across the program (largest groups first is
     irrelevant: groups are disjoint by construction).  Consumers of the
     members are redirected into slices of the merged tensor, and the result
-    is put in wavefront order by the depth map grouping computed: a merged
-    TE has its members' depth, so this is the order [Program.toposort]
-    would produce. *)
+    is put in wavefront order by the depth map grouping computed: wave [k]
+    holds every TE whose longest producer chain has length [k], in the
+    original relative order, and a merged TE has its members' depth. *)
 let apply (p : Program.t) : Program.t * stats =
   let tes = Array.of_list p.Program.tes in
   let reads, by_name, depth, unresolved = depth_table tes in

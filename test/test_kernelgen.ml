@@ -95,6 +95,137 @@ let qcheck_lru_model =
         ops;
       !ok)
 
+(* The association-list LRU [Reuse_cache] used to be, kept as the
+   reference model for the differential test below: same events, same
+   victim lists in the same order, same [used], same [resident] order. *)
+module Ref_lru = struct
+  type entry = { tensor : string; bytes : int; mutable dirty : bool }
+  type t = { capacity : int; mutable used : int; mutable lru : entry list }
+
+  let create ~capacity = { capacity; used = 0; lru = [] }
+  let mem t tensor = List.exists (fun e -> e.tensor = tensor) t.lru
+  let find t tensor = List.find_opt (fun e -> e.tensor = tensor) t.lru
+  let resident t = List.map (fun e -> e.tensor) t.lru
+
+  let promote t tensor =
+    match List.partition (fun e -> e.tensor = tensor) t.lru with
+    | [ e ], rest -> t.lru <- e :: rest
+    | _ -> ()
+
+  let touch t tensor =
+    if mem t tensor then begin
+      promote t tensor;
+      Reuse_cache.Hit
+    end
+    else Reuse_cache.Miss
+
+  let evict_for t need =
+    let rec go spilled =
+      if t.used + need <= t.capacity then List.rev spilled
+      else
+        match List.rev t.lru with
+        | [] -> List.rev spilled
+        | victim :: _ ->
+            t.lru <- List.filter (fun e -> e.tensor <> victim.tensor) t.lru;
+            t.used <- t.used - victim.bytes;
+            go
+              (if victim.dirty then (victim.tensor, victim.bytes) :: spilled
+               else spilled)
+    in
+    go []
+
+  let insert t ~tensor ~bytes ~dirty =
+    if bytes > t.capacity then Reuse_cache.Rejected
+    else if mem t tensor then begin
+      promote t tensor;
+      (match find t tensor with
+      | Some e -> e.dirty <- e.dirty || dirty
+      | None -> ());
+      Reuse_cache.Hit
+    end
+    else begin
+      let victims = evict_for t bytes in
+      t.lru <- { tensor; bytes; dirty } :: t.lru;
+      t.used <- t.used + bytes;
+      if victims = [] then Reuse_cache.Inserted else Reuse_cache.Spilled victims
+    end
+
+  let clean t tensor =
+    match find t tensor with Some e -> e.dirty <- false | None -> ()
+
+  let clear t =
+    t.lru <- [];
+    t.used <- 0
+end
+
+type lru_op =
+  | Touch of int
+  | Insert of int * int * bool  (* tensor id, bytes, dirty *)
+  | Clean of int
+  | Clear
+
+let show_lru_op = function
+  | Touch i -> Printf.sprintf "touch %d" i
+  | Insert (i, b, d) -> Printf.sprintf "insert %d %dB%s" i b (if d then " dirty" else "")
+  | Clean i -> Printf.sprintf "clean %d" i
+  | Clear -> "clear"
+
+(* A few tensor names, so sequences keep re-touching and re-inserting
+   resident tensors; sizes up to past the capacity, so inserts evict
+   (several victims at once for the big ones) and are sometimes
+   rejected. *)
+let lru_op_gen ~names ~capacity =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun i -> Touch i) (int_bound (names - 1)));
+        ( 6,
+          map3
+            (fun i b d -> Insert (i, b, d))
+            (int_bound (names - 1))
+            (int_bound (capacity + (capacity / 4)))
+            bool );
+        (2, map (fun i -> Clean i) (int_bound (names - 1)));
+        (1, return Clear);
+      ])
+
+let qcheck_lru_differential =
+  let capacity = 256 in
+  QCheck.Test.make ~name:"reuse cache matches the list LRU"
+    ~count:500
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_lru_op ops))
+        Gen.(list_size (int_range 0 200) (lru_op_gen ~names:12 ~capacity)))
+    (fun ops ->
+      let c = Reuse_cache.create ~capacity in
+      let r = Ref_lru.create ~capacity in
+      List.for_all
+        (fun op ->
+          let name i = "t" ^ string_of_int i in
+          let agree =
+            match op with
+            | Touch i -> Reuse_cache.touch c (name i) = Ref_lru.touch r (name i)
+            | Insert (i, bytes, dirty) ->
+                Reuse_cache.insert c ~tensor:(name i) ~bytes ~dirty
+                = Ref_lru.insert r ~tensor:(name i) ~bytes ~dirty
+            | Clean i ->
+                Reuse_cache.clean c (name i);
+                Ref_lru.clean r (name i);
+                true
+            | Clear ->
+                Reuse_cache.clear c;
+                Ref_lru.clear r;
+                true
+          in
+          agree
+          && Reuse_cache.used c = r.Ref_lru.used
+          && Reuse_cache.resident c = Ref_lru.resident r
+          && List.for_all
+               (fun i -> Reuse_cache.mem c (name i) = Ref_lru.mem r (name i))
+               (List.init 12 Fun.id))
+        ops)
+
 (* ------------------ Emit ------------------ *)
 
 let simple_program () =
@@ -221,6 +352,8 @@ let suite =
     Alcotest.test_case "lru rejects oversized" `Quick test_lru_rejects_oversized;
     Alcotest.test_case "lru clear" `Quick test_lru_clear;
     QCheck_alcotest.to_alcotest qcheck_lru_model;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |])
+      qcheck_lru_differential;
     Alcotest.test_case "emit one kernel per group" `Quick
       test_emit_one_kernel_per_group;
     Alcotest.test_case "emit sync between stages" `Quick

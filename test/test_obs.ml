@@ -236,6 +236,14 @@ let test_compile_produces_spans () =
         (Obs.total_us t name > 0.))
     [ "compile"; "attempt"; "horizontal"; "vertical"; "analysis"; "ansor";
       "emit-kernel"; "verify-ir"; "simulate" ];
+  (* program validation is its own phase, directly under "compile" *)
+  let validate_depths = ref [] in
+  Obs.iter
+    (fun s ~depth ->
+      if s.Obs.sname = "validate" then validate_depths := depth :: !validate_depths)
+    t;
+  Alcotest.(check (list int)) "one validate span, child of compile" [ 1 ]
+    !validate_depths;
   (* exactly one attempt on a clean compile: no degradation retries *)
   let attempts = ref 0 in
   Obs.iter

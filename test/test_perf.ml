@@ -221,41 +221,6 @@ let test_schedule_fault_recovers_via_retry () =
       | Ok () -> ()
       | Error m -> Alcotest.failf "retry result not preserved: %s" m)
 
-(* ---- toposort ---- *)
-
-let test_toposort_stable_wavefront () =
-  (* regression for the memoized longest-chain rewrite: the order must stay
-     the classic wavefront order — wave k holds every TE whose producers
-     all sit in earlier waves, original relative order kept inside a wave *)
-  let shape = [| 4 |] in
-  let x = ("x", { Program.shape; dtype = Dtype.F32 }) in
-  let u name input = Builder.unary ~name ~shape Expr.Relu input in
-  let a = u "a" "x" and d = u "d" "x" in
-  let b = u "b" "a" in
-  let c = u "c" "b" in
-  let scrambled =
-    Program.make ~inputs:[ x ] ~tes:[ c; a; b; d ] ~outputs:[ "c"; "d" ]
-  in
-  let sorted = Program.toposort scrambled in
-  Alcotest.(check (list Alcotest.string))
-    "wavefront order, stable within waves" [ "a"; "d"; "b"; "c" ]
-    (Program.te_names sorted);
-  (match Program.validate sorted with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "sorted program invalid: %s" m);
-  (* an already-sorted program re-sorts to itself *)
-  Alcotest.(check (list Alcotest.string))
-    "idempotent" (Program.te_names sorted)
-    (Program.te_names (Program.toposort sorted));
-  (* a dependency cycle is reported, not looped on *)
-  let e = u "e" "f" and f = u "f" "e" in
-  let cyclic = Program.make ~inputs:[ x ] ~tes:[ e; f ] ~outputs:[ "f" ] in
-  match Program.toposort cyclic with
-  | _ -> Alcotest.fail "cycle not detected"
-  | exception Invalid_argument m ->
-      Alcotest.(check bool) "cycle error names the pass" true
-        (Astring_contains.contains m "Program.toposort")
-
 let test_report_scheds_cover_transformed () =
   (* the report carries the successful attempt's schedule table, so
      downstream renderings never re-run the search *)
@@ -283,8 +248,6 @@ let suite =
       test_construct_parallel_matches_serial;
     Alcotest.test_case "cache roundtrip of constructed entries" `Quick
       test_cache_roundtrip_construct;
-    Alcotest.test_case "toposort stable wavefront order" `Quick
-      test_toposort_stable_wavefront;
     Alcotest.test_case "parallel compile identical" `Quick
       test_parallel_compile_identical;
     Alcotest.test_case "cache roundtrip" `Quick test_cache_roundtrip;

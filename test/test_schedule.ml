@@ -205,6 +205,37 @@ let test_partition_noncoop_absorbs_epilogues () =
         (Partition.te_names sp)
   | l -> Alcotest.failf "expected 1 subprogram, got %d" (List.length l)
 
+(* Persisted schedule caches are keyed by [Ansor.structural_key]'s text,
+   so the text itself is pinned: a change here silently turns every
+   existing cache file into misses.  The literals were recorded from the
+   format-string implementation the key builder replaced. *)
+let test_structural_key_text () =
+  let bert = Lower.run (Bert.create ()) in
+  let rx = Batch.apply ~batch:4 (Lower.run (Resnext.create ~cfg:Resnext.tiny ())) in
+  let key ?mode ?config p name =
+    Ansor.structural_key ?mode ?config dev p (Program.find_te_exn p name)
+  in
+  let check label expected actual =
+    Alcotest.(check string) label expected actual
+  in
+  check "f16 GEMM, construct"
+    "NVIDIA A100-SXM4-40GB|mode=construct|eff=0.6000|out=(384, 768)|red=768|tag=matmul|ops=452984832|acc=2|dt=f32<-f16,f16"
+    (key ~mode:Ansor.Construct bert "l0.q");
+  check "f16 GEMM, exhaustive"
+    "NVIDIA A100-SXM4-40GB|mode=exhaustive|eff=0.6000|out=(384, 768)|red=768|tag=matmul|ops=452984832|acc=2|dt=f32<-f16,f16"
+    (key bert "l0.q");
+  check "batch matmul"
+    "NVIDIA A100-SXM4-40GB|mode=construct|eff=0.6000|out=(12, 384, 384)|red=64|tag=batch_matmul|ops=226492416|acc=2|dt=f32<-f32,f32"
+    (key ~mode:Ansor.Construct bert "l0.scores");
+  check "batched conv, three reduction axes"
+    "NVIDIA A100-SXM4-40GB|mode=construct|eff=0.6000|out=(4, 1, 4, 8, 8)|red=3x7x7|tag=conv2d|ops=301056|acc=2|dt=f32<-f32,f32"
+    (key ~mode:Ansor.Construct rx "stem_conv");
+  check "two-axis pool, non-default eff_cap"
+    "NVIDIA A100-SXM4-40GB|mode=construct|eff=0.5500|out=(4, 1, 32)|red=2x2|tag=global_avg_pool|ops=1024|acc=1|dt=f32<-f32"
+    (key ~mode:Ansor.Construct
+       ~config:{ Ansor.default_config with Ansor.eff_cap = 0.55 }
+       rx "gap")
+
 let suite =
   [
     Alcotest.test_case "grid blocks" `Quick test_grid_blocks;
@@ -224,6 +255,8 @@ let suite =
     Alcotest.test_case "schedule covers all" `Quick test_schedule_program_covers_all;
     Alcotest.test_case "schedule memoization" `Quick
       test_schedule_memoization_consistent;
+    Alcotest.test_case "structural key text pinned" `Quick
+      test_structural_key_text;
     Alcotest.test_case "partition covers" `Quick test_partition_covers_program;
     Alcotest.test_case "partition single" `Quick test_partition_small_program_single;
     Alcotest.test_case "partition fig2 split" `Quick test_partition_fig2_style_split;

@@ -185,6 +185,39 @@ let test_erf_accuracy () =
         (Expr.apply_unop Erf x))
     cases
 
+(* The name-index memo must not outlive its programs: an index is
+   reachable only through its program, so once the programs are dropped a
+   full major collection leaves the memo holding (almost) nothing. *)
+let test_index_memo_releases_dead_programs () =
+  let chain n =
+    let shape = [| 16 |] in
+    let x = ("x", { Program.shape; dtype = Dtype.F32 }) in
+    let tes =
+      List.init n (fun i ->
+          Builder.unary
+            ~name:(Printf.sprintf "t%d" i)
+            ~shape Expr.Relu
+            (if i = 0 then "x" else Printf.sprintf "t%d" (i - 1)))
+    in
+    Program.make ~inputs:[ x ] ~tes
+      ~outputs:[ Printf.sprintf "t%d" (n - 1) ]
+  in
+  (* built and dropped out of line, so no stack slot keeps a program *)
+  let throwaway : int -> unit =
+    Sys.opaque_identity (fun i ->
+        let p = chain (200 + i) in
+        ignore (Program.find_te p "t0");
+        ignore (Program.consumers p))
+  in
+  for i = 1 to 4 do
+    throwaway i
+  done;
+  Gc.full_major ();
+  let words = Obj.reachable_words (Obj.repr Program.index_memo) in
+  if words > 2_000 then
+    Alcotest.failf "index memo still reaches %d words after its programs died"
+      words
+
 let suite =
   [
     Alcotest.test_case "matmul vs naive" `Quick test_matmul_vs_naive;
@@ -200,6 +233,8 @@ let suite =
     Alcotest.test_case "validate rv in compute" `Quick test_validate_catches_rv_in_compute;
     Alcotest.test_case "program validate topo" `Quick test_program_validate_topo;
     Alcotest.test_case "program deps" `Quick test_program_deps;
+    Alcotest.test_case "index memo releases dead programs" `Quick
+      test_index_memo_releases_dead_programs;
     Alcotest.test_case "live after" `Quick test_live_after;
     Alcotest.test_case "arith ops" `Quick test_arith_ops;
     Alcotest.test_case "f16 rounding" `Quick test_f16_rounding_applied;
