@@ -1,33 +1,24 @@
-(* Compile-throughput benchmark: measures what the fast-compilation layer
-   buys — constructive scheduling, the domain-parallel Ansor search and the
-   persistent schedule cache (Scache) — and checks, on every model, that
-   none of it costs kernel quality or determinism.
-
-   Four compiles per model:
-     cold/construct   fresh cache, search_domains = 1, constructive
-                      scheduling (the default pipeline)
-     cold/exhaustive  fresh cache, search_domains = 1, full enumerative
-                      candidate search (the quality oracle)
-     cold/parallel    fresh cache, default domain count, constructive
-     warm             the cache the cold/construct run populated
+(* Compile-throughput benchmark: one cold compile per zoo model through
+   Souffle's one scheduling path (constructive scheduling, the per-compile
+   ladder memo, no other store), checked for kernel quality against the
+   enumerative search.
 
    Each compile runs under [Obs.record], so besides end-to-end wall time we
-   report the schedule-phase time ("ansor" spans), the number of candidate
-   searches actually performed ("ansor-search" spans), and a per-phase
+   report the schedule-phase time ("ansor" spans), the number of per-key
+   schedule constructions performed ("ansor-search" spans), and a per-phase
    breakdown of host time and of words allocated on the compiling domain
    ("emit-kernel" is the span the emitter actually opens per kernel — both
    the Souffle ladder and the whole-grouping [Emit.emit] entry point emit
-   it).  The warm run must perform zero searches.
+   it).
 
    Gates recorded in the runlog, so --strict-bench fails the run:
      - every compiled artifact must be dataflow-clean;
-     - parallel search and warm-cache compiles must reproduce the
-       cold/construct artifact bit for bit;
-     - constructed schedules must hold kernel quality: per model, the
-       simulated end-to-end runtime must stay within [quality_tol] of the
-       exhaustive search's;
-     - the whole zoo must cold-compile (constructive, serial) within
-       [budget_s] end to end;
+     - constructed schedules must hold kernel quality: on every reduction
+       TE of the transformed program, [Construct.schedule_te] and the
+       enumerative [Ansor.schedule_te] are scored by [Ansor.estimate_us];
+       the constructed total may exceed the enumerated one by at most
+       [quality_tol];
+     - the whole zoo must cold-compile within [budget_s] end to end;
      - on the full-size zoo, the cold-compile geomean speedup over the
        pre-overhaul baseline (the [prepr_cold_s] constants, measured at
        the commit before constructive scheduling and the non-search phase
@@ -49,8 +40,9 @@ let phase_names =
     "emit-kernel"; "verify-ir"; "verify-dataflow"; "simulate";
   ]
 
-(* constructed schedules may not cost more than this fraction of simulated
-   runtime vs the exhaustive search *)
+(* constructed schedules may not cost more than this fraction of estimated
+   latency, summed over a program's reduction TEs, vs the enumerative
+   search *)
 let quality_tol = 0.05
 
 (* cold/construct full-zoo geomean speedup the overhaul must hold over the
@@ -69,25 +61,41 @@ let prepr_cold_s =
 
 type run = {
   label : string;
-  search_mode : Ansor.mode;
   compile_s : float;     (* end-to-end wall seconds *)
   ansor_us : float;      (* schedule-phase ("ansor" spans) microseconds *)
-  searches : int;        (* "ansor-search" spans: candidate searches done *)
+  searches : int;        (* "ansor-search" spans: keys scheduled *)
   phases : (string * float) list;  (* per-phase microseconds, {!phase_names} *)
   phases_alloc : (string * float) list;
-      (* per-phase allocated Mwords on the compiling domain, {!phase_names};
-         search worker domains' allocations are not counted *)
+      (* per-phase allocated Mwords, {!phase_names} *)
   sim : Sim.result;
+  quality : float * (string * float);
+      (* constructed vs enumerated estimated latency: the program-total
+         relative gap, and the worst single TE with its gap *)
 }
 
-let measure ~model ~label ?sched_cache ~domains ~search_mode (p : Program.t) :
-    run =
-  let ansor = { Ansor.default_config with Ansor.search_domains = domains } in
-  let cfg = Souffle.config ~ansor ~search_mode ?sched_cache () in
+(* Kernel-quality oracle: score both schedulers on every reduction TE of
+   the transformed program under the shared cost model. *)
+let quality_gap (p : Program.t) : float * (string * float) =
+  let dev = Tables.dev in
+  let sum_c = ref 0. and sum_e = ref 0. and worst = ref ("-", 0.) in
+  List.iter
+    (fun (te : Te.t) ->
+      if Te.has_reduction te then begin
+        let c = Ansor.estimate_us dev p te (Construct.schedule_te dev p te)
+        and e = Ansor.estimate_us dev p te (Ansor.schedule_te dev p te) in
+        sum_c := !sum_c +. c;
+        sum_e := !sum_e +. e;
+        let rel = if e > 0. then (c -. e) /. e else 0. in
+        if rel > snd !worst then worst := (te.Te.name, rel)
+      end)
+    p.Program.tes;
+  ((if !sum_e > 0. then (!sum_c -. !sum_e) /. !sum_e else 0.), !worst)
+
+let measure ~model ~label (p : Program.t) : run =
   let t0 = Unix.gettimeofday () in
   let r, trace =
     Obs.record (fun () ->
-        Tables.compile_recorded ~cfg ~name:(model ^ "/" ^ label) p)
+        Tables.compile_recorded ~name:(model ^ "/" ^ label) p)
   in
   (* artifact-quality check: the compiled program must be dataflow-clean
      (every re-read of an on-device tensor classified as L2/shared, bytes
@@ -106,10 +114,10 @@ let measure ~model ~label ?sched_cache ~domains ~search_mode (p : Program.t) :
       Runlog.record Tables.runlog
         ~model:(model ^ "/" ^ label ^ "@dataflow")
         ~degraded_steps:0 ~errors:(List.length ds));
+  let compile_s = Unix.gettimeofday () -. t0 in
   {
     label;
-    search_mode;
-    compile_s = Unix.gettimeofday () -. t0;
+    compile_s;
     ansor_us = Obs.total_us trace "ansor";
     searches = spans_named trace "ansor-search";
     phases = List.map (fun n -> (n, Obs.total_us trace n)) phase_names;
@@ -118,6 +126,7 @@ let measure ~model ~label ?sched_cache ~domains ~search_mode (p : Program.t) :
         (fun n -> (n, Obs.total_alloc_words trace n /. 1e6))
         phase_names;
     sim = r.Souffle.sim;
+    quality = quality_gap r.Souffle.transformed;
   }
 
 (* a failed determinism or quality gate is a bench error, not just noise on
@@ -131,53 +140,21 @@ let gate_failure ~model ~gate fmt =
         ~degraded_steps:0 ~errors:1)
     fmt
 
-let bench_model ~graph_of (e : Zoo.entry) : string * run list =
+let bench_model ~graph_of (e : Zoo.entry) : string * run =
   let p = Lower.run (graph_of e) in
-  let cache = Scache.create () in
-  let construct =
-    measure ~model:e.Zoo.name ~label:"cold/construct" ~sched_cache:cache
-      ~domains:1 ~search_mode:Ansor.Construct p
-  in
-  let exhaustive =
-    measure ~model:e.Zoo.name ~label:"cold/exhaustive"
-      ~sched_cache:(Scache.create ()) ~domains:1
-      ~search_mode:Ansor.Exhaustive p
-  in
-  let parallel =
-    measure ~model:e.Zoo.name ~label:"cold/parallel"
-      ~sched_cache:(Scache.create ())
-      ~domains:(Domain.recommended_domain_count ())
-      ~search_mode:Ansor.Construct p
-  in
-  let warm =
-    measure ~model:e.Zoo.name ~label:"warm" ~sched_cache:cache ~domains:1
-      ~search_mode:Ansor.Construct p
-  in
-  if parallel.sim <> construct.sim then
-    gate_failure ~model:e.Zoo.name ~gate:"parallel-determinism"
-      "parallel search changed the compiled artifact";
-  if warm.sim <> construct.sim then
-    gate_failure ~model:e.Zoo.name ~gate:"warm-determinism"
-      "warm-cache compile changed the compiled artifact";
-  if warm.searches <> 0 then
-    gate_failure ~model:e.Zoo.name ~gate:"warm-searches"
-      "warm compile still ran %d candidate search(es)" warm.searches;
-  (* kernel-quality gate: construction must stay within quality_tol of the
-     exhaustive search on simulated end-to-end runtime *)
-  let tc = Sim.time_ms construct.sim and te = Sim.time_ms exhaustive.sim in
-  let rel = if te > 0. then (tc -. te) /. te else 0. in
+  let construct = measure ~model:e.Zoo.name ~label:"cold/construct" p in
+  let rel, (worst_te, worst_rel) = construct.quality in
   if rel > quality_tol then
     gate_failure ~model:e.Zoo.name ~gate:"quality"
-      "constructed schedules cost %.1f%% simulated runtime vs exhaustive \
-       (tolerance %.0f%%): %.3f ms vs %.3f ms"
-      (100. *. rel) (100. *. quality_tol) tc te;
-  (e.Zoo.name, [ construct; exhaustive; parallel; warm ])
+      "constructed schedules cost %.1f%% estimated latency vs the \
+       enumerative search (tolerance %.0f%%; worst TE %s at %+.2f%%)"
+      (100. *. rel) (100. *. quality_tol) worst_te (100. *. worst_rel);
+  (e.Zoo.name, construct)
 
 let json_of_run (r : run) : Jsonlite.t =
   Jsonlite.Obj
     [
       ("label", Jsonlite.Str r.label);
-      ("search_mode", Jsonlite.Str (Ansor.mode_tag r.search_mode));
       ("compile_s", Jsonlite.Num r.compile_s);
       ("sim_time_ms", Jsonlite.Num (Sim.time_ms r.sim));
       ("ansor_us", Jsonlite.Num r.ansor_us);
@@ -193,20 +170,15 @@ let json_of_run (r : run) : Jsonlite.t =
 let ratio num den = if den > 0. then num /. den else 0.
 
 let run_with ~graph_of ~out ~budget_s ~geomean_gate () =
-  Tables.section
-    "Compile throughput — constructive scheduling + parallel search + cache";
+  Tables.section "Compile throughput — constructive scheduling";
   let results = List.map (bench_model ~graph_of) Zoo.all in
   Fmt.pr "  %-14s %-16s %12s %12s %12s %10s@." "model" "run" "compile(s)"
     "sim(ms)" "ansor(ms)" "searches";
   List.iter
-    (fun (model, runs) ->
-      List.iter
-        (fun r ->
-          Fmt.pr "  %-14s %-16s %12.3f %12.3f %12.2f %10d@." model r.label
-            r.compile_s (Sim.time_ms r.sim) (r.ansor_us /. 1e3) r.searches)
-        runs)
+    (fun (model, r) ->
+      Fmt.pr "  %-14s %-16s %12.3f %12.3f %12.2f %10d@." model r.label
+        r.compile_s (Sim.time_ms r.sim) (r.ansor_us /. 1e3) r.searches)
     results;
-  let pick label runs = List.find (fun r -> r.label = label) runs in
   (* where the cold/construct compile goes, phase by phase: host ms, then
      Mwords allocated on the compiling domain *)
   let phase_table title value =
@@ -215,30 +187,25 @@ let run_with ~graph_of ~out ~budget_s ~geomean_gate () =
       Fmt.(list ~sep:nop (fun ppf n -> pf ppf " %11s" n))
       phase_names;
     List.iter
-      (fun (model, runs) ->
+      (fun (model, r) ->
         Fmt.pr "  %-14s%a@." model
           Fmt.(list ~sep:nop (fun ppf (_, v) -> pf ppf " %11.3f" v))
-          (value (pick "cold/construct" runs)))
+          (value r))
       results
   in
   phase_table "cold/construct per phase, ms:" (fun r ->
       List.map (fun (n, us) -> (n, us /. 1e3)) r.phases);
   phase_table "cold/construct per phase, Mword allocated:" (fun r ->
       r.phases_alloc);
-  let sum f = List.fold_left (fun a (_, runs) -> a +. f runs) 0. results in
-  let cold_s = sum (fun rs -> (pick "cold/construct" rs).compile_s) in
-  let exhaustive_s = sum (fun rs -> (pick "cold/exhaustive" rs).compile_s) in
-  let warm_s = sum (fun rs -> (pick "warm" rs).compile_s) in
-  let parallel_s = sum (fun rs -> (pick "cold/parallel" rs).compile_s) in
-  let cold_ansor = sum (fun rs -> (pick "cold/construct" rs).ansor_us) in
-  let warm_ansor = sum (fun rs -> (pick "warm" rs).ansor_us) in
-  let worst_quality =
+  let cold_s = List.fold_left (fun a (_, r) -> a +. r.compile_s) 0. results in
+  let worst_quality, (worst_model, (worst_te, worst_te_rel)) =
     List.fold_left
-      (fun acc (_, runs) ->
-        let tc = Sim.time_ms (pick "cold/construct" runs).sim
-        and te = Sim.time_ms (pick "cold/exhaustive" runs).sim in
-        max acc (if te > 0. then (tc -. te) /. te else 0.))
-      0. results
+      (fun (acc, worst) (model, r) ->
+        let rel, te = r.quality in
+        ( max acc rel,
+          if snd te > snd (snd worst) then (model, te) else worst ))
+      (0., ("-", ("-", 0.)))
+      results
   in
   (* full-zoo cold-compile budget: the constructive pipeline must compile
      the whole zoo cold within budget_s *)
@@ -251,12 +218,10 @@ let run_with ~graph_of ~out ~budget_s ~geomean_gate () =
     if not geomean_gate then []
     else
       List.filter_map
-        (fun (model, runs) ->
+        (fun (model, r) ->
           match List.assoc_opt model prepr_cold_s with
           | None -> None
-          | Some base ->
-              let s = ratio base (pick "cold/construct" runs).compile_s in
-              Some (model, s))
+          | Some base -> Some (model, ratio base r.compile_s))
         results
   in
   let geomean =
@@ -280,15 +245,13 @@ let run_with ~graph_of ~out ~budget_s ~geomean_gate () =
   end;
   Fmt.pr "  ---@.";
   Fmt.pr
-    "  end-to-end:     construct %.2fx vs exhaustive, warm %.2fx, parallel \
-     %.2fx@."
-    (ratio exhaustive_s cold_s) (ratio cold_s warm_s)
-    (ratio cold_s parallel_s);
-  Fmt.pr "  schedule phase: warm %.2fx vs cold/construct@."
-    (ratio cold_ansor warm_ansor);
-  Fmt.pr "  kernel quality: worst construct-vs-exhaustive gap %.2f%% (tol \
-          %.0f%%)@."
-    (100. *. worst_quality) (100. *. quality_tol);
+    "  kernel quality: worst construct-vs-enumeration program gap %.2f%% \
+     (tol %.0f%%); %s@."
+    (100. *. worst_quality) (100. *. quality_tol)
+    (if worst_te_rel > 0. then
+       Fmt.str "worst TE %s/%s at %+.2f%%" worst_model worst_te
+         (100. *. worst_te_rel)
+     else "no TE worse than enumeration");
   Fmt.pr "  cold budget:    %.3f s of %.3f s@." cold_s budget_s;
   if geomean_gate then
     Fmt.pr "  vs pre-overhaul: %.2fx geomean cold speedup (gate %.1fx)@."
@@ -301,19 +264,11 @@ let run_with ~graph_of ~out ~budget_s ~geomean_gate () =
         ( "models",
           Jsonlite.Obj
             (List.map
-               (fun (model, runs) ->
-                 (model, Jsonlite.Arr (List.map json_of_run runs)))
+               (fun (model, r) -> (model, Jsonlite.Arr [ json_of_run r ]))
                results) );
         ( "summary",
           Jsonlite.Obj
             ([
-               ( "e2e_construct_speedup",
-                 Jsonlite.Num (ratio exhaustive_s cold_s) );
-               ("e2e_warm_speedup", Jsonlite.Num (ratio cold_s warm_s));
-               ( "e2e_parallel_speedup",
-                 Jsonlite.Num (ratio cold_s parallel_s) );
-               ( "schedule_warm_speedup",
-                 Jsonlite.Num (ratio cold_ansor warm_ansor) );
                ("quality_worst_rel", Jsonlite.Num worst_quality);
                ("quality_tol", Jsonlite.Num quality_tol);
                ("cold_total_s", Jsonlite.Num cold_s);
@@ -339,8 +294,8 @@ let run_with ~graph_of ~out ~budget_s ~geomean_gate () =
     (fun () -> output_string oc (Jsonlite.to_string json));
   Fmt.pr "  wrote %s@." out
 
-(* full-size models: the measurement run.  Budget: the whole zoo, cold and
-   serial, in 2.5 s — half of what the pre-overhaul compiler needed. *)
+(* full-size models: the measurement run.  Budget: the whole zoo, cold, in
+   2.5 s — half of what the pre-overhaul compiler needed. *)
 let run () =
   run_with
     ~graph_of:(fun e -> e.Zoo.full ())

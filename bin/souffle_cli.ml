@@ -4,7 +4,7 @@
      souffle list
      souffle compile  --model bert [--level v4] [--tiny] [--cuda] [--verify]
                       [--verify-dataflow] [--strict] [--inject FAULT]
-                      [--search-mode construct|exhaustive]
+                      [--trace FILE] [--profile] [--mega]
      souffle compare  --model bert [--tiny]
      souffle analyze  --model mmoe [--tiny]
      souffle serve    --mix bert=2,mmoe --rate 50000 --requests 64
@@ -12,7 +12,7 @@
                       [--json FILE] [--trace FILE] [--strict]
                       [--chaos SPEC] [--deadline-ms N] [--retries K]
                       [--backoff-us US] [--queue-cap M] [--drop reject|shed]
-                      [--batch-max N] [--gen LEN] [--schedule-cache FILE]
+                      [--batch-max N] [--gen LEN] [--mega]
 *)
 
 open Cmdliner
@@ -133,41 +133,6 @@ let mega_arg =
   in
   Arg.(value & flag & info [ "mega" ] ~doc)
 
-let sched_cache_arg =
-  let doc =
-    "Persistent schedule cache: load previously searched Ansor schedules \
-     from $(docv) before compiling (structurally matching TEs skip the \
-     candidate search) and write any newly searched schedules back \
-     afterwards.  A missing or stale file is treated as an empty cache."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "schedule-cache" ] ~docv:"FILE" ~doc)
-
-let search_domains_arg =
-  let doc =
-    "Number of domains (OS threads) the Ansor candidate search fans out \
-     over; 1 forces a serial search.  Results are identical at any value.  \
-     Defaults to the machine's recommended domain count."
-  in
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "search-domains" ] ~docv:"N" ~doc)
-
-let search_mode_arg =
-  let doc =
-    "Schedule production strategy: $(b,construct) (default) builds one \
-     schedule per TE by greedy construction under the analytic cost model \
-     (a handful of candidate evaluations per TE); $(b,exhaustive) \
-     enumerates the full Ansor candidate space.  The two modes cache \
-     separately, and a failing constructive pass falls back to the \
-     exhaustive search automatically before anything degrades."
-  in
-  Arg.(
-    value & opt string "construct" & info [ "search-mode" ] ~docv:"MODE" ~doc)
-
 let inject_arg =
   let doc =
     "Arm the fault-injection harness before compiling: a pass name \
@@ -204,45 +169,22 @@ let arm_fault = function
           Ok ()
       | Error m -> Error m)
 
-let search_mode_of_string s =
-  match Ansor.mode_of_string (String.lowercase_ascii s) with
-  | Some m -> Ok m
-  | None ->
-      Error (Fmt.str "unknown search mode %S (construct or exhaustive)" s)
-
 let compile_run model file tiny level cuda verify verify_dataflow strict
-    inject trace profile sched_cache_path search_domains search_mode mega =
+    inject trace profile mega =
   protect Diag.Validate @@ fun () ->
   match
     ( resolve ~model ~file ~tiny,
       level_of_string (String.lowercase_ascii level),
-      arm_fault inject,
-      search_mode_of_string search_mode )
+      arm_fault inject )
   with
-  | Error m, _, _, _ | _, Error m, _, _ | _, _, Error m, _ | _, _, _, Error m
-    ->
+  | Error m, _, _ | _, Error m, _ | _, _, Error m ->
       Fmt.epr "error: %s@." m;
       1
-  | Ok p, Ok level, Ok (), Ok search_mode -> (
-      let sched_cache = Option.map Scache.load sched_cache_path in
-      let ansor =
-        match search_domains with
-        | None -> Ansor.default_config
-        | Some n -> { Ansor.default_config with Ansor.search_domains = n }
-      in
-      let cfg =
-        Souffle.config ~level ~ansor ~search_mode ?sched_cache ~mega ()
-      in
+  | Ok p, Ok level, Ok () -> (
+      let cfg = Souffle.config ~level ~mega () in
       let compile () =
         Fun.protect ~finally:Faultinject.disarm (fun () ->
             Souffle.compile_result ~cfg ~strict p)
-      in
-      let save_cache () =
-        match (sched_cache, sched_cache_path) with
-        | Some c, Some path ->
-            if Scache.dirty c then Scache.save c path;
-            Fmt.pr "%a (%s)@." Scache.pp c path
-        | _ -> ()
       in
       (* --trace / --profile record the compile under the Obs collector *)
       let result, recorded =
@@ -260,7 +202,6 @@ let compile_run model file tiny level cuda verify verify_dataflow strict
       (match recorded with
       | Some t when profile -> Fmt.pr "%a@.@." Obs.pp_tree t
       | _ -> ());
-      save_cache ();
       match result with
       | Error ds ->
           List.iter (fun d -> Fmt.epr "%a@." Diag.pp d) ds;
@@ -301,8 +242,7 @@ let compile_cmd =
     Term.(
       const compile_run $ model_opt_arg $ file_arg $ tiny_arg $ level_arg
       $ cuda_arg $ verify_arg $ verify_dataflow_arg $ strict_arg $ inject_arg
-      $ trace_arg $ profile_arg $ sched_cache_arg $ search_domains_arg
-      $ search_mode_arg $ mega_arg)
+      $ trace_arg $ profile_arg $ mega_arg)
 
 let compare_run model tiny =
   protect Diag.Simulate @@ fun () ->
@@ -450,8 +390,7 @@ let batch_max_arg =
     "Continuous batching: coalesce queued first-attempt requests for the \
      same model into power-of-two buckets of up to $(docv) lanes (1 \
      disables batching).  Each bucket shape is compiled once up front as \
-     its own shape-polymorphic artifact; pair with --schedule-cache so the \
-     extra compiles hit warm schedules."
+     its own shape-polymorphic artifact."
   in
   Arg.(value & opt int 1 & info [ "batch-max" ] ~docv:"N" ~doc)
 
@@ -488,7 +427,7 @@ let validate_mix (mix : Workload.mix) : (unit, Diag.t) result =
 
 let serve_run mix rate requests streams policy seed tiny level strict
     json_out trace_out chaos_spec deadline_ms retries backoff_us queue_cap
-    drop batch_max gen sched_cache_path search_mode mega =
+    drop batch_max gen mega =
   protect Diag.Simulate @@ fun () ->
   let mix_spec = mix in
   let fail m =
@@ -498,24 +437,19 @@ let serve_run mix rate requests streams policy seed tiny level strict
   match
     ( Workload.parse_mix mix,
       Scheduler.policy_of_string (String.lowercase_ascii policy),
-      level_of_string (String.lowercase_ascii level),
-      search_mode_of_string search_mode )
+      level_of_string (String.lowercase_ascii level) )
   with
-  | Error m, _, _, _ -> fail m
-  | _, None, _, _ -> fail (Fmt.str "unknown policy %S (fifo or sel)" policy)
-  | _, _, Error m, _ -> fail m
-  | _, _, _, Error m -> fail m
-  | Ok mix, Some policy, Ok level, Ok search_mode ->
+  | Error m, _, _ -> fail m
+  | _, None, _ -> fail (Fmt.str "unknown policy %S (fifo or sel)" policy)
+  | _, _, Error m -> fail m
+  | Ok mix, Some policy, Ok level ->
       if streams < 1 then fail "--streams must be >= 1"
       else if requests < 1 then fail "--requests must be >= 1"
       else if batch_max < 1 then fail "--batch-max must be >= 1"
       else if gen < 0 then fail "--gen must be >= 0"
       else begin
         let dev = Souffle.default_config.Souffle.device in
-        let sched_cache = Option.map Scache.load sched_cache_path in
-        let cfg_at ?pos batch =
-          Souffle.config ~level ~search_mode ?sched_cache ~batch ?pos ~mega ()
-        in
+        let cfg_at ?pos batch = Souffle.config ~level ~batch ?pos ~mega () in
         (* decode support and KV position buckets for generation serving *)
         let decode_thunk (e : Zoo.entry) =
           if tiny then e.Zoo.decode_tiny else e.Zoo.decode_full
@@ -671,13 +605,6 @@ let serve_run mix rate requests streams policy seed tiny level strict
                               (List.rev_append ds (List.rev_append bs arts))
                               rest)))
         in
-        let save_cache () =
-          match (sched_cache, sched_cache_path) with
-          | Some c, Some path ->
-              if Scache.dirty c then Scache.save c path;
-              Fmt.pr "%a (%s)@." Scache.pp c path
-          | _ -> ()
-        in
         let lifecycle_opts =
           Result.bind
             (match Scheduler.drop_of_string (String.lowercase_ascii drop) with
@@ -710,7 +637,6 @@ let serve_run mix rate requests streams policy seed tiny level strict
                 match build [] [] mix with
                 | Error m -> fail m
                 | Ok (mix, artifacts) ->
-                    save_cache ();
                     let slo_us = Option.map (fun ms -> ms *. 1e3) deadline_ms in
                     let reqs =
                       Workload.generate ~seed ~rate_rps:rate ~requests ?slo_us
@@ -770,8 +696,7 @@ let serve_cmd =
       $ policy_arg $ seed_arg $ tiny_arg $ level_arg $ strict_arg
       $ serve_json_arg $ serve_trace_arg $ chaos_arg $ deadline_ms_arg
       $ retries_arg $ backoff_us_arg $ queue_cap_arg $ drop_arg
-      $ batch_max_arg $ gen_arg $ sched_cache_arg $ search_mode_arg
-      $ mega_arg)
+      $ batch_max_arg $ gen_arg $ mega_arg)
 
 let dump_run model tiny output =
   protect Diag.Validate @@ fun () ->

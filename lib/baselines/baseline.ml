@@ -298,7 +298,7 @@ let run ?(device = Device.a100) (s : system) (p : Program.t) :
       let an = Analysis.run p in
       let scheds =
         Ansor.schedule_program
-          ~config:{ Ansor.default_config with Ansor.eff_cap = prof.Profiles.eff_cap }
+          ~config:{ Ansor.eff_cap = prof.Profiles.eff_cap }
           device p
       in
       let groups =

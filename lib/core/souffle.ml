@@ -37,15 +37,6 @@ type config = {
   device : Device.t;
   level : level;
   ansor : Ansor.config;
-  search_mode : Ansor.mode;
-      (** how schedules are produced: {!Ansor.Construct} (default) builds
-          one schedule per TE by greedy construction under the analytic
-          cost model; {!Ansor.Exhaustive} enumerates the full candidate
-          space.  A failing constructive pass falls back to the exhaustive
-          search (then to the reduced space) before anything degrades *)
-  sched_cache : Scache.t option;
-      (** persistent cross-run schedule cache; warm entries skip the Ansor
-          candidate search entirely *)
   batch : int;
       (** batch lanes to compile the program at ({!Batch.apply} runs before
           any analysis); 1 compiles the program exactly as given *)
@@ -66,17 +57,15 @@ let default_config =
     device = Device.a100;
     level = V4;
     ansor = Ansor.default_config;
-    search_mode = Ansor.Construct;
-    sched_cache = None;
     batch = 1;
     pos = 0;
     mega = false;
   }
 
 let config ?(device = Device.a100) ?(level = V4)
-    ?(ansor = Ansor.default_config) ?(search_mode = Ansor.Construct)
-    ?sched_cache ?(batch = 1) ?(pos = 0) ?(mega = false) () =
-  { device; level; ansor; search_mode; sched_cache; batch; pos; mega }
+    ?(ansor = Ansor.default_config) ?(batch = 1) ?(pos = 0) ?(mega = false)
+    () =
+  { device; level; ansor; batch; pos; mega }
 
 (** One step of the graceful-degradation ladder: [d_subject] (the whole
     program, or one subprogram's head TE) was retried at [d_to] after
@@ -273,76 +262,41 @@ let compile_result ?(cfg = default_config) ?(strict = false) (p : Program.t)
   let ( let* ) = Result.bind in
   (* One in-memory schedule store shared by every rung of the ladder: a
      retry at a lower level re-schedules the same (or structurally equal)
-     TEs, so attempt r-1 reuses attempt r's search results.  Layered on top
-     of the optional persistent cache: persistent hits are promoted into the
-     run memo, new results are written through to both. *)
+     TEs, so attempt r-1 reuses attempt r's constructed schedules. *)
   let run_memo : (string, Sched.t) Hashtbl.t = Hashtbl.create 64 in
   let store =
     {
-      Ansor.find =
-        (fun key ->
-          match Hashtbl.find_opt run_memo key with
-          | Some _ as hit -> hit
-          | None -> (
-              match cfg.sched_cache with
-              | None -> None
-              | Some c -> (
-                  match Scache.find c key with
-                  | Some s ->
-                      Hashtbl.replace run_memo key s;
-                      Some s
-                  | None -> None)));
-      Ansor.add =
-        (fun key s ->
-          Hashtbl.replace run_memo key s;
-          match cfg.sched_cache with
-          | None -> ()
-          | Some c -> Scache.add c key s);
+      Ansor.find = Hashtbl.find_opt run_memo;
+      add = Hashtbl.replace run_memo;
     }
   in
-  (* Schedule with retries: constructive scheduling (the default mode)
-     falls back to the exhaustive full-space search, which falls back to
-     the reduced candidate set, before the whole program degrades a level.
-     Each recovery is a warning diagnostic, not a degradation step — the
-     chosen optimization level is untouched, only this search ran
-     differently. *)
+  (* Schedule by construction.  A failing constructive pass is retried on
+     the enumerative search's reduced candidate set before the whole
+     program degrades a level; the recovery is a warning diagnostic, not a
+     degradation step — the chosen optimization level is untouched.  The
+     reduced retry runs without the store: its schedules are not the
+     constructed ones the memo holds. *)
   let schedule p2 =
-    let recovered ~what ~via d scheds =
-      note
-        (Diag.warning ~subject:"program" Diag.Schedule
-           (Fmt.str "%s failed (%s); recovered on %s" what d.Diag.message via));
-      Ok scheds
-    in
-    let with_reduced_fallback r =
-      match r with
-      | Ok _ as ok -> ok
-      | Error d -> (
-          match
-            Ansor.schedule_program_result ~config:cfg.ansor
-              ~space:Ansor.Reduced ~store cfg.device p2
-          with
-          | Ok scheds ->
-              recovered ~what:"full-space search"
-                ~via:"the reduced candidate set" d scheds
-          | Error _ -> Error d)
-    in
-    let exhaustive () =
-      Ansor.schedule_program_result ~config:cfg.ansor ~store cfg.device p2
-    in
-    match cfg.search_mode with
-    | Ansor.Exhaustive -> with_reduced_fallback (exhaustive ())
-    | Ansor.Construct -> (
+    match
+      Construct.schedule_program_result ~config:cfg.ansor ~store cfg.device p2
+    with
+    | Ok _ as ok -> ok
+    | Error d -> (
         match
-          Construct.schedule_program_result ~config:cfg.ansor ~store
-            cfg.device p2
+          Ansor.schedule_program_result
+            ~schedule_te:(fun ~config ->
+              Ansor.schedule_te ~config ~space:Ansor.Reduced)
+            ~config:cfg.ansor cfg.device p2
         with
-        | Ok _ as ok -> ok
-        | Error d -> (
-            match exhaustive () with
-            | Ok scheds ->
-                recovered ~what:"constructive scheduling"
-                  ~via:"the exhaustive search" d scheds
-            | Error _ as e -> with_reduced_fallback e))
+        | Ok scheds ->
+            note
+              (Diag.warning ~subject:"program" Diag.Schedule
+                 (Fmt.str
+                    "constructive scheduling failed (%s); recovered on the \
+                     reduced candidate set"
+                    d.Diag.message));
+            Ok scheds
+        | Error _ -> Error d)
   in
   (* ---- front end: whole-program passes at rank [r] ---- *)
   let front_end r =

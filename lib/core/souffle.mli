@@ -25,15 +25,10 @@ type config = {
   device : Device.t;
   level : level;
   ansor : Ansor.config;
-  search_mode : Ansor.mode;
-      (** how schedules are produced: {!Ansor.Construct} (default) builds
-          one schedule per TE by greedy construction under the analytic
-          cost model; {!Ansor.Exhaustive} enumerates the full candidate
-          space.  A failing constructive pass falls back to the exhaustive
-          search (then to the reduced space) before anything degrades *)
-  sched_cache : Scache.t option;
-      (** persistent cross-run schedule cache; warm entries skip the Ansor
-          candidate search entirely *)
+      (** the cost-model configuration schedules are constructed under
+          ([Construct]); a failing constructive pass is retried on the
+          enumerative search's reduced candidate set before anything
+          degrades *)
   batch : int;
       (** batch lanes to compile the program at ({!Batch.apply} runs before
           any analysis); 1 compiles the program exactly as given *)
@@ -49,15 +44,13 @@ type config = {
 }
 
 val default_config : config
-(** A100, level V4, default scheduler efficiency, constructive scheduling,
-    no persistent cache, batch 1, position 0, mega off. *)
+(** A100, level V4, default scheduler efficiency, batch 1, position 0,
+    mega off. *)
 
 val config :
   ?device:Device.t ->
   ?level:level ->
   ?ansor:Ansor.config ->
-  ?search_mode:Ansor.mode ->
-  ?sched_cache:Scache.t ->
   ?batch:int ->
   ?pos:int ->
   ?mega:bool ->

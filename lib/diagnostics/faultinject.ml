@@ -10,11 +10,8 @@
     Determinism: a fault trips on the [skip]-th matching invocation (derived
     from [seed] by a fixed LCG step) and at most [times] times, so a given
     (seed, spec) pair always fails the same subprogram of the same model.
-
-    Concurrency: the armed fault is keyed per domain ([Domain.DLS]), i.e.
-    per compilation context — the parallel Ansor search and concurrent
-    compiles each see their own (initially disarmed) slot instead of racing
-    on one global cell. *)
+    The armed fault is plain module state: compilation runs on one
+    domain. *)
 
 type spec =
   | Fail_pass of Diag.pass  (** the pass raises when it next runs *)
@@ -65,30 +62,22 @@ type armed = {
   mutable trips : int;      (* observed trips, for tests *)
 }
 
-(* The armed fault is domain-local state: each domain (compilation context)
-   gets its own slot, so the parallel Ansor search — and, eventually,
-   concurrent compilations — cannot race on one global cell or trip a fault
-   armed by another context.  Freshly spawned domains start disarmed. *)
-let state_key : armed option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let state () = Domain.DLS.get state_key
+let state : armed option ref = ref None
 
 (* One multiplicative-congruential step; keeps equal seeds reproducible and
    spreads consecutive seeds over the first few invocations. *)
 let skip_of_seed seed = if seed = 0 then 0 else (seed * 48271 + 11) mod 3
 
 let arm ?(seed = 0) ?(times = 1) spec =
-  state ()
-  := Some { spec; skip = skip_of_seed seed; remaining = times; trips = 0 }
+  state := Some { spec; skip = skip_of_seed seed; remaining = times; trips = 0 }
 
-let disarm () = state () := None
-let armed () = !(state ()) <> None
-let trips () = match !(state ()) with Some a -> a.trips | None -> 0
+let disarm () = state := None
+let armed () = !state <> None
+let trips () = match !state with Some a -> a.trips | None -> 0
 
 (* Consume one matching invocation; [Some a] iff the fault fires now. *)
 let fire (matches : spec -> bool) : armed option =
-  match !(state ()) with
+  match !state with
   | Some a when matches a.spec ->
       if a.skip > 0 then begin
         a.skip <- a.skip - 1;
@@ -363,39 +352,34 @@ let chaos_plan (c : chaos) ~(rq_id : int) ~(attempt : int)
   end
 
 (** Per-stream runtime-injection bookkeeping.  Each serving stream gets its
-    own slot (keyed by engine stream id) and — like the compile-time armed
-    fault above — the whole registry is [Domain.DLS] state: if serving ever
-    spans domains, each domain sees its own registry and streams cannot
-    race on one global cell.  The engine is the single writer of trip
-    counts; schedulers reset the registry at the start of a chaos run. *)
+    own slot (keyed by engine stream id) in one module-level registry.  The
+    engine is the single writer of trip counts; schedulers reset the
+    registry at the start of a chaos run. *)
 module Runtime = struct
   type slot = { mutable rs_plan : runtime_fault list; mutable rs_trips : int }
 
-  let registry_key : (int, slot) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-  let registry () = Domain.DLS.get registry_key
-  let reset () = Hashtbl.reset (registry ())
+  let registry : (int, slot) Hashtbl.t = Hashtbl.create 32
+  let reset () = Hashtbl.reset registry
 
   (** Arm [plan] for engine stream [stream]; replaces any previous slot. *)
   let arm ~stream (plan : runtime_fault list) =
-    Hashtbl.replace (registry ()) stream { rs_plan = plan; rs_trips = 0 }
+    Hashtbl.replace registry stream { rs_plan = plan; rs_trips = 0 }
 
   let plan ~stream =
-    match Hashtbl.find_opt (registry ()) stream with
+    match Hashtbl.find_opt registry stream with
     | Some s -> s.rs_plan
     | None -> []
 
   let record_trip ~stream =
-    match Hashtbl.find_opt (registry ()) stream with
+    match Hashtbl.find_opt registry stream with
     | Some s -> s.rs_trips <- s.rs_trips + 1
-    | None -> Hashtbl.replace (registry ()) stream { rs_plan = []; rs_trips = 1 }
+    | None -> Hashtbl.replace registry stream { rs_plan = []; rs_trips = 1 }
 
   let trips ~stream =
-    match Hashtbl.find_opt (registry ()) stream with
+    match Hashtbl.find_opt registry stream with
     | Some s -> s.rs_trips
     | None -> 0
 
   let total_trips () =
-    Hashtbl.fold (fun _ s a -> a + s.rs_trips) (registry ()) 0
+    Hashtbl.fold (fun _ s a -> a + s.rs_trips) registry 0
 end

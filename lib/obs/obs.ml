@@ -19,9 +19,8 @@ type span = {
   start_us : float;  (** relative to the start of the recording *)
   mutable dur_us : float;
   mutable alloc_words : float;
-      (** words the calling domain allocated during the span (minor plus
-          major minus promoted), children included; allocations made by
-          other domains, such as parallel search workers, are not counted *)
+      (** words allocated during the span (minor plus major minus
+          promoted), children included *)
   mutable meta : (string * string) list;
   mutable children : span list;
       (** reverse order while recording; forward after {!record} returns *)

@@ -7,55 +7,27 @@
     artifacts Souffle needs from its schedule optimizer ("get required
     resource", §5.4).
 
-    Compile throughput (the production hot path) is addressed on three
-    axes:
-
-    - {b pruned enumeration}: candidates are built into a pre-sized array
-      with infeasible tile/thread combinations rejected before a [Sched.t]
-      is ever allocated, and all per-TE invariants of the cost model are
-      hoisted out of the per-candidate estimator;
-    - {b parallel search}: the unique structural keys of a program are
-      partitioned across OCaml domains ({!config.search_domains}); the
-      merged table is bit-identical to the serial search because each key
-      is searched by the same deterministic procedure and merged by key,
-      never by domain timing;
-    - {b schedule reuse}: an optional {!store} (an in-memory ladder cache,
-      a persistent cross-run cache, or both layered) is consulted under the
-      canonical {!structural_key} before any candidate is enumerated — a
-      warm store skips the search entirely. *)
+    The enumeration is the paper's Ansor/TVM stand-in: the baselines
+    schedule with it, and it is the quality reference the constructive
+    scheduler ([Construct]) is gated against.  {!schedule_program} runs any
+    per-TE procedure over a whole program — enumeration here, construction
+    in [Construct] — scheduling each distinct {!structural_key} once and
+    consulting an optional {!store} first.  Candidates are built into a
+    pre-sized array with infeasible tile/thread combinations rejected
+    before a [Sched.t] is allocated, and the per-TE invariants of the cost
+    model are hoisted out of the per-candidate estimator. *)
 
 type config = {
   eff_cap : float;
       (** fraction of pipeline peak the code generator's inner loop
           achieves on large tiles; baseline profiles vary it *)
-  search_domains : int;
-      (** domains to fan the candidate search over; [<= 1] searches
-          serially.  Never affects the resulting schedules. *)
 }
 
-let default_config =
-  { eff_cap = 0.60; search_domains = Domain.recommended_domain_count () }
-
-(** How a schedule was produced.  {!Exhaustive} is this module's candidate
-    enumeration; {!Construct} is the greedy construction-based scheduler
-    ([Construct] in this library), which builds one schedule directly under
-    the same cost model.  The mode is part of {!structural_key}, so cached
-    and memoized schedules always record which procedure produced them and
-    the two modes never alias each other's entries. *)
-type mode = Construct | Exhaustive
-
-let mode_tag = function Construct -> "construct" | Exhaustive -> "exhaustive"
-
-let mode_of_string = function
-  | "construct" -> Some Construct
-  | "exhaustive" -> Some Exhaustive
-  | _ -> None
+let default_config = { eff_cap = 0.60 }
 
 (** Candidate-space selection: {!Reduced} is the fallback space the
-    degradation ladder retries with after a search failure — small enough
-    to be near-instant, still covering the shapes that matter.  Reduced
-    results are never written to a {!store} (the determinism contract keys
-    stored schedules to the full space). *)
+    degradation ladder retries with after a scheduling failure — small
+    enough to be near-instant, still covering the shapes that matter. *)
 type space = Full | Reduced
 
 (* Achieved efficiency: large tiles amortize prologue/epilogue and fill the
@@ -129,17 +101,9 @@ let estimate_of_elems (dev : Device.t) (ctx : cost_ctx) (te : Te.t)
   let waves = Occupancy.waves dev usage ~grid_blocks:grid in
   body +. (0.3 *. float_of_int (max 1 waves))
 
-(** Analytical latency (µs) of running [te] alone under schedule [s], with
-    the per-TE invariants supplied as [ctx]. *)
-let estimate_us_ctx (dev : Device.t) (ctx : cost_ctx) (te : Te.t)
-    (s : Sched.t) : float =
-  let in_elems = Sched.plan_tile_elems s ctx.plan in
-  estimate_of_elems dev ctx te s ~in_elems
-    ~usage:(Sched.usage_of_elems te s ~in_elems)
-
-(** {!estimate_us_ctx} behind the feasibility check both schedulers apply
-    to every candidate: [None] when the block cannot fit an SM.  The tile
-    plan is evaluated once for both. *)
+(** The latency estimate behind the feasibility check both schedulers
+    apply to every candidate: [None] when the block cannot fit an SM.  The
+    tile plan is evaluated once for both. *)
 let feasible_cost_ctx (dev : Device.t) (ctx : cost_ctx) (te : Te.t)
     (s : Sched.t) : float option =
   let in_elems = Sched.plan_tile_elems s ctx.plan in
@@ -154,7 +118,10 @@ let feasible_cost_ctx (dev : Device.t) (ctx : cost_ctx) (te : Te.t)
 (** Analytical latency (µs) of running [te] alone under schedule [s]. *)
 let estimate_us (dev : Device.t) (p : Program.t) (te : Te.t) (s : Sched.t) :
     float =
-  estimate_us_ctx dev (cost_ctx p te) te s
+  let ctx = cost_ctx p te in
+  let in_elems = Sched.plan_tile_elems s ctx.plan in
+  estimate_of_elems dev ctx te s ~in_elems
+    ~usage:(Sched.usage_of_elems te s ~in_elems)
 
 (* ---- candidate enumeration ----------------------------------------- *)
 
@@ -272,19 +239,12 @@ let candidates ?dev ?(space = Full) (te : Te.t) : Sched.t list =
     Array.to_list (Array.sub buf 0 !n)
   end
 
-(** Feasibility: the block must fit an SM. *)
-let feasible (dev : Device.t) (p : Program.t) (te : Te.t) (s : Sched.t) =
-  let u = Sched.usage p te s in
-  u.Occupancy.smem_per_block <= dev.Device.max_smem_per_block
-  && u.Occupancy.threads_per_block <= dev.Device.max_threads_per_block
-  && Occupancy.blocks_per_sm dev u >= 1
-
 (* ---- per-TE search -------------------------------------------------- *)
 
 (** Search the candidate space for the lowest-latency feasible schedule.
     Deterministic tie-breaking: of equal-cost candidates the one enumerated
     first wins, so the result is a function of (config, dev, te, space)
-    only — never of timing, domain count, or table iteration order. *)
+    only. *)
 let schedule_te ?(config = default_config) ?(space = Full) (dev : Device.t)
     (p : Program.t) (te : Te.t) : Sched.t =
   if not (Te.has_reduction te) then
@@ -315,23 +275,12 @@ let schedule_te ?(config = default_config) ?(space = Full) (dev : Device.t)
 
 (* ---- structural keys and schedule stores ---------------------------- *)
 
-(** Canonical structural key of a TE for schedule reuse: device, the
-    scheduling mode that produced the schedule, the scheduling-relevant
-    part of the search configuration ([eff_cap] — and deliberately {e not}
-    [search_domains], which never changes results), and the TE's structure
-    (output shape, reduction axes, provenance tag, arithmetic ops, access
-    count, output and input dtypes).  Two TEs with equal keys receive
-    bit-identical schedules, which is what makes both the per-program memo
-    table and the persistent cross-run cache sound. *)
 (* The configuration part of every key, shared by all TEs of one
    [schedule_program] call. *)
-let key_prefix ~mode ~config (dev : Device.t) : string =
-  Printf.sprintf "%s|mode=%s|eff=%.4f|" dev.Device.name (mode_tag mode)
-    config.eff_cap
+let key_prefix ~config (dev : Device.t) : string =
+  Printf.sprintf "%s|eff=%.4f|" dev.Device.name config.eff_cap
 
-(* Append the TE part of the key to [buf], which already holds the prefix.
-   The text is byte-for-byte what persisted schedule caches were keyed
-   with, so it must not change. *)
+(* Append the TE part of the key to [buf], which already holds the prefix. *)
 let add_te_key (buf : Buffer.t) (p : Program.t) (te : Te.t) : unit =
   let add_ints ~sep a =
     Array.iteri
@@ -369,24 +318,21 @@ let add_te_key (buf : Buffer.t) (p : Program.t) (te : Te.t) : unit =
     (Te.inputs te)
 
 (** Canonical structural key of a TE for schedule reuse: device, the
-    scheduling mode that produced the schedule, the scheduling-relevant
-    part of the search configuration ([eff_cap] — and deliberately {e not}
-    [search_domains], which never changes results), and the TE's structure
-    (output shape, reduction axes, provenance tag, arithmetic ops, access
-    count, output and input dtypes).  Two TEs with equal keys receive
-    bit-identical schedules, which is what makes both the per-program memo
-    table and the persistent cross-run cache sound. *)
-let structural_key ?(mode = Exhaustive) ?(config = default_config)
-    (dev : Device.t) (p : Program.t) (te : Te.t) : string =
+    scheduling-relevant part of the configuration ([eff_cap]), and the TE's
+    structure (output shape, reduction axes, provenance tag, arithmetic
+    ops, access count, output and input dtypes).  Two TEs with equal keys
+    receive bit-identical schedules from the same per-TE procedure, which
+    is what makes the per-program memo and the ladder's store sound. *)
+let structural_key ?(config = default_config) (dev : Device.t) (p : Program.t)
+    (te : Te.t) : string =
   let buf = Buffer.create 128 in
-  Buffer.add_string buf (key_prefix ~mode ~config dev);
+  Buffer.add_string buf (key_prefix ~config dev);
   add_te_key buf p te;
   Buffer.contents buf
 
-(** A pluggable schedule store consulted before (and fed after) the
-    candidate search — the hook the in-memory ladder cache and the
-    persistent cross-run cache ({!Scache} in [lib/cache]) plug into
-    without this library depending on them. *)
+(** A schedule store consulted before (and fed after) the per-key search —
+    the hook Souffle's per-compile ladder memo plugs into without this
+    library depending on it. *)
 type store = {
   find : string -> Sched.t option;
   add : string -> Sched.t -> unit;
@@ -394,79 +340,25 @@ type store = {
 
 (* ---- whole-program scheduling --------------------------------------- *)
 
-(* Fan-out is only worth a domain spawn when several keys actually need
-   searching... *)
-let min_parallel_keys = 2
-
-(* ...and when the total work is large enough to amortize spawn + join
-   overhead (~100µs per domain).  Work is measured in candidate
-   evaluations: an exhaustive key visits the full cross-product (a few
-   hundred evaluations, ~1µs each), a constructed key a few dozen, so the
-   threshold corresponds to several milliseconds of serial search — below
-   that, spawning was measured to win ~nothing (the 1.05x "speedup" of the
-   zoo bench) and can even lose. *)
-let min_parallel_work = 8192
-
-(* Approximate candidate evaluations one key costs under each mode. *)
-let evals_hint = function Exhaustive -> 384 | Construct -> 50
-
-(* Split [items] into [n] contiguous chunks whose concatenation is
-   [items]. *)
-let chunk n items =
-  let len = List.length items in
-  let base = len / n and extra = len mod n in
-  let rec take k acc l =
-    if k = 0 then (List.rev acc, l)
-    else
-      match l with
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (k - 1) (x :: acc) rest
-  in
-  let rec go i l =
-    if i >= n || l = [] then []
-    else
-      let size = base + if i < extra then 1 else 0 in
-      let c, rest = take size [] l in
-      if c = [] then go (i + 1) rest else c :: go (i + 1) rest
-  in
-  go 0 items
-
-(** The per-TE procedure {!schedule_program} runs for every unresolved key,
-    together with the {!mode} tag recorded in those keys.  The default is
-    this module's exhaustive search; [Construct.scheduler] plugs the
-    construction-based one in without this module depending on it. *)
-type scheduler = {
-  s_mode : mode;
-  s_schedule :
-    config:config -> space:space -> Device.t -> Program.t -> Te.t -> Sched.t;
-}
-
-let exhaustive_scheduler : scheduler =
-  {
-    s_mode = Exhaustive;
-    s_schedule =
-      (fun ~config ~space dev p te -> schedule_te ~config ~space dev p te);
-  }
-
-(** Schedule every TE of a program.  Identical structures are searched once
+(** Schedule every TE of a program with [schedule_te] (default: the full
+    enumeration, {!schedule_te}).  Identical structures are scheduled once
     (memoized on {!structural_key}, since models repeat identical layers
-    many times); keys the [store] already knows skip the search entirely;
-    the remaining keys are searched across [config.search_domains] domains.
-    The resulting table is bit-identical regardless of domain count or
-    store warmth built from {!Full}-space searches of the same
-    [scheduler]. *)
-let schedule_program ?(scheduler = exhaustive_scheduler)
-    ?(config = default_config) ?(space = Full) ?store (dev : Device.t)
-    (p : Program.t) : (string, Sched.t) Hashtbl.t =
+    many times); keys the [store] already knows skip the search, and every
+    newly scheduled key is added to it.  A caller with a different per-TE
+    procedure — construction, or the reduced space — passes it here and
+    decides whether its results belong in the [store]. *)
+let schedule_program
+    ?(schedule_te =
+      fun ~config dev p te -> schedule_te ~config dev p te)
+    ?(config = default_config) ?store (dev : Device.t) (p : Program.t) :
+    (string, Sched.t) Hashtbl.t =
   Obs.span ~meta:[ ("tes", string_of_int (List.length p.Program.tes)) ]
     "ansor"
   @@ fun () ->
-  let mode = scheduler.s_mode in
-  let schedule_one te = scheduler.s_schedule ~config ~space dev p te in
   (* one key per reduction TE, built once; a TE without a reduction takes
      the default schedule directly — every scheduler returns exactly that
      for it, so there is nothing to search or store *)
-  let prefix = key_prefix ~mode ~config dev in
+  let prefix = key_prefix ~config dev in
   let buf = Buffer.create 128 in
   let keyed =
     List.map
@@ -480,110 +372,31 @@ let schedule_program ?(scheduler = exhaustive_scheduler)
         end)
       p.Program.tes
   in
-  (* the unique structural keys, in first-occurrence program order *)
-  let key_of = Hashtbl.create 64 in
-  let uniq = ref [] in
+  (* resolve each unique key in first-occurrence program order: from the
+     store when it has it, else by running [schedule_te] *)
+  let resolved : (string, Sched.t) Hashtbl.t = Hashtbl.create 64 in
+  let store_hits = ref 0 and searched = ref 0 in
   List.iter
-    (fun (te, key) ->
+    (fun ((te : Te.t), key) ->
       match key with
-      | Some key when not (Hashtbl.mem key_of key) ->
-          Hashtbl.add key_of key ();
-          uniq := (key, te) :: !uniq
+      | Some key when not (Hashtbl.mem resolved key) -> (
+          match Option.bind store (fun st -> st.find key) with
+          | Some s ->
+              incr store_hits;
+              Hashtbl.replace resolved key s
+          | None ->
+              incr searched;
+              let s =
+                Obs.span ~meta:[ ("te", te.Te.name) ] "ansor-search"
+                  (fun () -> schedule_te ~config dev p te)
+              in
+              Option.iter (fun st -> st.add key s) store;
+              Hashtbl.replace resolved key s)
       | _ -> ())
     keyed;
-  let uniq = List.rev !uniq in
-  (* resolve what we can from the store before searching anything *)
-  let resolved : (string, Sched.t) Hashtbl.t = Hashtbl.create 64 in
-  let missing =
-    List.filter
-      (fun (key, _) ->
-        match Option.bind store (fun st -> st.find key) with
-        | Some s ->
-            Hashtbl.replace resolved key s;
-            false
-        | None -> true)
-      uniq
-  in
-  let store_hits = List.length uniq - List.length missing in
-  let searched = List.length missing in
-  (* search the remaining keys, serially or fanned over domains *)
-  let domains =
-    min config.search_domains (max 1 searched)
-  in
-  let parallel =
-    searched >= min_parallel_keys
-    && domains > 1
-    && searched * evals_hint mode >= min_parallel_work
-  in
-  if parallel then begin
-    (* Workers must not touch the Obs collector (single-domain state), so
-       per-key timings are measured locally and re-emitted as marker spans
-       after the join.  The program's name index is primed first: workers
-       only ever read it. *)
-    Program.prime_index p;
-    let search_chunk part () =
-      List.map
-        (fun (key, te) ->
-          let t0 = Unix.gettimeofday () in
-          let s = schedule_one te in
-          (key, te, s, (Unix.gettimeofday () -. t0) *. 1e6))
-        part
-    in
-    let spawned =
-      List.map (fun part -> Domain.spawn (search_chunk part))
-        (chunk domains missing)
-    in
-    let joined =
-      List.map (fun d -> try Ok (Domain.join d) with e -> Error e) spawned
-    in
-    List.iter
-      (fun r ->
-        match r with
-        | Ok results ->
-            List.iter
-              (fun (key, (te : Te.t), s, dur_us) ->
-                (* marker span: the search ran on a worker domain; its
-                   measured duration rides in the metadata *)
-                Obs.span
-                  ~meta:
-                    [
-                      ("te", te.Te.name);
-                      ("search_us", Fmt.str "%.1f" dur_us);
-                    ]
-                  "ansor-search"
-                  (fun () -> ());
-                Hashtbl.replace resolved key s)
-              results
-        | Error _ -> ())
-      joined;
-    (* re-raise the first worker failure only after every domain joined *)
-    List.iter (function Error e -> raise e | Ok _ -> ()) joined
-  end
-  else
-    List.iter
-      (fun (key, te) ->
-        let s =
-          Obs.span ~meta:[ ("te", te.Te.name) ] "ansor-search" (fun () ->
-              schedule_one te)
-        in
-        Hashtbl.replace resolved key s)
-      missing;
-  (* feed the store — full-space results only, so cached schedules always
-     reproduce the serial full search *)
-  (match (store, space) with
-  | Some st, Full ->
-      List.iter
-        (fun (key, _) ->
-          match Hashtbl.find_opt resolved key with
-          | Some s -> st.add key s
-          | None -> ())
-        missing
-  | _ -> ());
-  Obs.annotate "store_hits" (string_of_int store_hits);
-  Obs.annotate "searched" (string_of_int searched);
-  Obs.annotate "domains" (string_of_int (if parallel then domains else 1));
-  Obs.annotate "mode" (mode_tag mode);
-  (* merge into the per-TE table in program order *)
+  Obs.annotate "store_hits" (string_of_int !store_hits);
+  Obs.annotate "searched" (string_of_int !searched);
+  (* the per-TE table, in program order *)
   let table = Hashtbl.create 64 in
   List.iter
     (fun ((te : Te.t), key) ->
@@ -592,10 +405,8 @@ let schedule_program ?(scheduler = exhaustive_scheduler)
         | None ->
             { (Sched.default_elementwise te) with
               Sched.compute_eff = config.eff_cap }
-        | Some key -> (
-            match Hashtbl.find_opt resolved key with
-            | Some s -> { s with Sched.te_name = te.Te.name }
-            | None -> assert false)
+        | Some key ->
+            { (Hashtbl.find resolved key) with Sched.te_name = te.Te.name }
       in
       Hashtbl.replace table te.Te.name s)
     keyed;
@@ -603,8 +414,8 @@ let schedule_program ?(scheduler = exhaustive_scheduler)
 
 (** {!schedule_program} as a total function: fault-injection aware,
     exceptions converted to a typed diagnostic. *)
-let schedule_program_result ?scheduler ?config ?space ?store (dev : Device.t)
+let schedule_program_result ?schedule_te ?config ?store (dev : Device.t)
     (p : Program.t) : ((string, Sched.t) Hashtbl.t, Diag.t) result =
   Diag.guard Diag.Schedule (fun () ->
       Faultinject.trip Diag.Schedule;
-      schedule_program ?scheduler ?config ?space ?store dev p)
+      schedule_program ?schedule_te ?config ?store dev p)

@@ -7,7 +7,7 @@
     (big output tiles, full reduction tile, no split, wide block) from the
     TE's structure and then runs greedy coordinate descent over the {e
     same} option lists and under the {e same} analytic cost model as the
-    enumerative search ({!Ansor.estimate_us_ctx}, whose constants are
+    enumerative search ({!Ansor.estimate_us}, whose constants are
     calibrated against the {!Counters} simulator — see
     [docs/COMPILE_PERF.md]).  Each descent pass re-optimizes one decision
     at a time — output tiles, reduction tile, block size — holding the
@@ -18,9 +18,8 @@
 
     Determinism: the result is a function of (config, dev, te) only.  Ties
     inside one coordinate scan resolve to the earliest option in the list,
-    and the pass/coordinate order is fixed, so there is nothing
-    timing-dependent to diverge — the property the schedule cache and the
-    serial==parallel artifact guarantee rest on. *)
+    and the pass/coordinate order is fixed — the property the ladder's
+    schedule memo rests on. *)
 
 (* Descent passes over the coordinate list.  Two passes suffice for this
    cost model: the second pass re-checks every coordinate after the first
@@ -174,27 +173,14 @@ let schedule_te ?(config = Ansor.default_config) (dev : Device.t)
     end
   end
 
-(** This scheduler as an {!Ansor.scheduler}, pluggable into
-    {!Ansor.schedule_program} — keys are tagged [mode=construct]. *)
-let scheduler : Ansor.scheduler =
-  {
-    Ansor.s_mode = Ansor.Construct;
-    s_schedule =
-      (fun ~config ~space:_ dev p te -> schedule_te ~config dev p te);
-  }
-
 (** {!Ansor.schedule_program} driven by construction instead of
-    enumeration: same memoization on structural keys, same store protocol,
-    same domain fan-out (which the work threshold makes rare — constructed
-    keys are too cheap to be worth a spawn).  Cost per TE is
+    enumeration — Souffle's scheduling path: same memoization on
+    structural keys, same store protocol, fault-injection aware, exceptions
+    converted to a typed diagnostic.  Cost per TE is
     passes x (|tiles|·|splits| + |tiles| + |rtiles| + |threads|) ≈ 50
-    evaluations, still an order of magnitude under enumeration. *)
-let schedule_program ?config ?store (dev : Device.t) (p : Program.t) :
-    (string, Sched.t) Hashtbl.t =
-  Ansor.schedule_program ~scheduler ?config ?store dev p
-
-(** {!schedule_program} as a total function: fault-injection aware,
-    exceptions converted to a typed diagnostic. *)
+    evaluations, an order of magnitude under enumeration. *)
 let schedule_program_result ?config ?store (dev : Device.t) (p : Program.t) :
     ((string, Sched.t) Hashtbl.t, Diag.t) result =
-  Ansor.schedule_program_result ~scheduler ?config ?store dev p
+  Ansor.schedule_program_result
+    ~schedule_te:(fun ~config -> schedule_te ~config)
+    ?config ?store dev p

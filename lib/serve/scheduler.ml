@@ -42,7 +42,7 @@
       same model into one stream compiled at a {e bucketed} batch shape:
       the largest power of two <= min(available peers, [max_batch]) for
       which a batched artifact was supplied (powers of two keep the set of
-      shapes small, so the schedule cache amortizes the recompiles).
+      shapes small, so few extra artifacts are compiled).
       Members join at dispatch and split out at the stream boundary: each
       keeps its own arrival time, deadline, retry budget, and terminal
       outcome.  A kernel fault inside a batched stream retries the members

@@ -97,10 +97,6 @@ let index_of (p : t) : index =
       last_index := Some (Ephemeron.K1.make key idx);
       idx
 
-(** Force the index to exist — called before fanning work out to domains so
-    workers only ever read an already-built table. *)
-let prime_index (p : t) : unit = ignore (index_of p)
-
 let find_te p name = Hashtbl.find_opt (index_of p).te_by_name name
 
 let find_te_exn p name =

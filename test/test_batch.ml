@@ -98,33 +98,6 @@ let test_artifact_store_batch_keys () =
   Alcotest.(check int) "batched leading axis reached the pipeline" 2
     (List.hd r2.Souffle.original.Program.tes).Te.out_shape.(0)
 
-(* repeated compiles at the same bucket shape must hit the schedule cache:
-   zero ansor-search spans on the warm compile *)
-let test_bucket_recompile_warm () =
-  let gen () = Lower.run (Mmoe.create ~cfg:Mmoe.tiny ()) in
-  let cache = Scache.create () in
-  let compile () =
-    match
-      Souffle.compile_result
-        ~cfg:(Souffle.config ~batch:4 ~sched_cache:cache ()) (gen ())
-    with
-    | Ok r -> r
-    | Error _ -> Alcotest.fail "batched compile failed"
-  in
-  let cold = compile () in
-  let searches t =
-    let n = ref 0 in
-    Obs.iter (fun s ~depth:_ -> if s.Obs.sname = "ansor-search" then incr n) t;
-    !n
-  in
-  let warm, twarm = Obs.record compile in
-  Alcotest.(check bool) "cold compile populated the cache" true
-    (Scache.length cache > 0);
-  Alcotest.(check int) "warm bucket recompile searches nothing" 0
-    (searches twarm);
-  Alcotest.(check bool) "warm artifact identical" true
-    (cold.Souffle.prog = warm.Souffle.prog)
-
 let suite =
   [
     Alcotest.test_case "batch=1 is the identity" `Quick test_batch1_is_identity;
@@ -136,6 +109,4 @@ let suite =
       test_lanes_equal_unbatched;
     Alcotest.test_case "artifact store keys on batch" `Quick
       test_artifact_store_batch_keys;
-    Alcotest.test_case "bucket recompile is warm" `Quick
-      test_bucket_recompile_warm;
   ]

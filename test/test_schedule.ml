@@ -205,36 +205,31 @@ let test_partition_noncoop_absorbs_epilogues () =
         (Partition.te_names sp)
   | l -> Alcotest.failf "expected 1 subprogram, got %d" (List.length l)
 
-(* Persisted schedule caches are keyed by [Ansor.structural_key]'s text,
-   so the text itself is pinned: a change here silently turns every
-   existing cache file into misses.  The literals were recorded from the
-   format-string implementation the key builder replaced. *)
+(* The ladder memo is keyed by [Ansor.structural_key]'s text; pin it so a
+   change to what the key covers is a deliberate one.  The TE part of the
+   literals was recorded from the format-string implementation the key
+   builder replaced. *)
 let test_structural_key_text () =
   let bert = Lower.run (Bert.create ()) in
   let rx = Batch.apply ~batch:4 (Lower.run (Resnext.create ~cfg:Resnext.tiny ())) in
-  let key ?mode ?config p name =
-    Ansor.structural_key ?mode ?config dev p (Program.find_te_exn p name)
+  let key ?config p name =
+    Ansor.structural_key ?config dev p (Program.find_te_exn p name)
   in
   let check label expected actual =
     Alcotest.(check string) label expected actual
   in
-  check "f16 GEMM, construct"
-    "NVIDIA A100-SXM4-40GB|mode=construct|eff=0.6000|out=(384, 768)|red=768|tag=matmul|ops=452984832|acc=2|dt=f32<-f16,f16"
-    (key ~mode:Ansor.Construct bert "l0.q");
-  check "f16 GEMM, exhaustive"
-    "NVIDIA A100-SXM4-40GB|mode=exhaustive|eff=0.6000|out=(384, 768)|red=768|tag=matmul|ops=452984832|acc=2|dt=f32<-f16,f16"
+  check "f16 GEMM"
+    "NVIDIA A100-SXM4-40GB|eff=0.6000|out=(384, 768)|red=768|tag=matmul|ops=452984832|acc=2|dt=f32<-f16,f16"
     (key bert "l0.q");
   check "batch matmul"
-    "NVIDIA A100-SXM4-40GB|mode=construct|eff=0.6000|out=(12, 384, 384)|red=64|tag=batch_matmul|ops=226492416|acc=2|dt=f32<-f32,f32"
-    (key ~mode:Ansor.Construct bert "l0.scores");
+    "NVIDIA A100-SXM4-40GB|eff=0.6000|out=(12, 384, 384)|red=64|tag=batch_matmul|ops=226492416|acc=2|dt=f32<-f32,f32"
+    (key bert "l0.scores");
   check "batched conv, three reduction axes"
-    "NVIDIA A100-SXM4-40GB|mode=construct|eff=0.6000|out=(4, 1, 4, 8, 8)|red=3x7x7|tag=conv2d|ops=301056|acc=2|dt=f32<-f32,f32"
-    (key ~mode:Ansor.Construct rx "stem_conv");
+    "NVIDIA A100-SXM4-40GB|eff=0.6000|out=(4, 1, 4, 8, 8)|red=3x7x7|tag=conv2d|ops=301056|acc=2|dt=f32<-f32,f32"
+    (key rx "stem_conv");
   check "two-axis pool, non-default eff_cap"
-    "NVIDIA A100-SXM4-40GB|mode=construct|eff=0.5500|out=(4, 1, 32)|red=2x2|tag=global_avg_pool|ops=1024|acc=1|dt=f32<-f32"
-    (key ~mode:Ansor.Construct
-       ~config:{ Ansor.default_config with Ansor.eff_cap = 0.55 }
-       rx "gap")
+    "NVIDIA A100-SXM4-40GB|eff=0.5500|out=(4, 1, 32)|red=2x2|tag=global_avg_pool|ops=1024|acc=1|dt=f32<-f32"
+    (key ~config:{ Ansor.eff_cap = 0.55 } rx "gap")
 
 let suite =
   [
