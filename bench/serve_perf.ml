@@ -28,9 +28,10 @@
    (tiny models, the @bench-smoke alias).  Equality mismatches, a sub-2x
    saturation speedup, a batched run that fails to beat the unbatched
    baseline, and degraded batched compiles are all recorded in the runlog,
-   so --strict-bench fails the run over them.  The smoke run adds a
-   host-time scaling gate ([scaling_gate]), printed but kept out of the
-   JSON so the file stays deterministic. *)
+   so --strict-bench fails the run over them.  The smoke run adds two
+   host-time scaling gates ([scaling_gate]: open loop, and a closed batch
+   that queues its whole backlog), printed but kept out of the JSON so the
+   file stays deterministic. *)
 
 let dev = Tables.dev
 
@@ -350,13 +351,14 @@ let run () =
     ~requests:48 ~out:"BENCH_serve.json" ()
 
 (* Host-time scaling of the serving loop: [Scheduler.run] over one fixed
-   MMoE/LSTM mix at 3000 req/s, at [n] and at [4n] requests in this
-   process, median of three runs each.  An event loop whose cost grows
-   with the history already served shows a per-request cost at [4n] well
-   above that at [n]; more than 2x is recorded in the runlog, so
-   --strict-bench fails.  The reference is the [n]-point of the same run,
-   never a stored constant. *)
-let scaling_gate ~(souffle_of : Zoo.entry -> Souffle.report) ~n =
+   MMoE/LSTM mix (FIFO, 8 slots, no batching) at [rate] req/s, at [n] and
+   at [4n] requests in this process, median of three runs each.  A loop
+   whose cost grows with the history already served, or with the backlog
+   (at [rate = 0] every request arrives at once and the whole batch
+   queues), shows a per-request cost at [4n] well above that at [n]; more
+   than 2x is recorded in the runlog, so --strict-bench fails.  The
+   reference is the [n]-point of the same run, never a stored constant. *)
+let scaling_gate ~(souffle_of : Zoo.entry -> Souffle.report) ~rate ~n =
   let entries =
     List.map (fun (k, w) -> (Option.get (Zoo.find k), w))
       [ ("mmoe", 16.); ("lstm", 8.) ]
@@ -373,7 +375,7 @@ let scaling_gate ~(souffle_of : Zoo.entry -> Souffle.report) ~n =
   let mix = List.map (fun ((e : Zoo.entry), w) -> (e.Zoo.name, w)) entries in
   let cfg = Scheduler.cfg ~policy:Scheduler.Fifo ~max_streams:8 () in
   let run requests =
-    let reqs = Workload.generate ~seed:29 ~rate_rps:3000. ~requests mix in
+    let reqs = Workload.generate ~seed:29 ~rate_rps:rate ~requests mix in
     fun () ->
       (* every run starts from a compacted heap, untimed, so the garbage
          of earlier bench sections is not charged to one point *)
@@ -389,16 +391,23 @@ let scaling_gate ~(souffle_of : Zoo.entry -> Souffle.report) ~n =
   let small = median (List.map fst pairs) in
   let large = median (List.map snd pairs) in
   let ratio = large /. small in
+  let what =
+    if rate > 0. then Fmt.str "open loop at %.0f req/s" rate
+    else "closed batch"
+  in
   Fmt.pr
-    "@.  host scaling: Scheduler.run %.1f us/request at %d requests, %.1f at \
-     %d — %.2fx (gate 2x)@."
-    small n large (4 * n) ratio;
+    "@.  host scaling (%s): Scheduler.run %.1f us/request at %d requests, \
+     %.1f at %d — %.2fx (gate 2x)@."
+    what small n large (4 * n) ratio;
   if ratio > 2. then begin
     Fmt.epr
-      "  !! serving host time per request grows %.2fx from %d to %d requests@."
-      ratio n (4 * n);
-    Runlog.record Tables.runlog ~model:"serve-host-scaling" ~degraded_steps:0
-      ~errors:1
+      "  !! serving host time per request (%s) grows %.2fx from %d to %d \
+       requests@."
+      what ratio n (4 * n);
+    Runlog.record Tables.runlog
+      ~model:
+        (if rate > 0. then "serve-host-scaling" else "serve-closed-scaling")
+      ~degraded_steps:0 ~errors:1
   end
 
 (* tiny models: the @bench-smoke alias — seconds, not minutes *)
@@ -421,4 +430,5 @@ let smoke () =
       (batched_memo ~tag:"serve-smoke"
          ~graph_of:(fun (e : Zoo.entry) -> e.Zoo.tiny ()))
     ~requests:24 ~out:"BENCH_serve_smoke.json" ();
-  scaling_gate ~souffle_of ~n:500
+  scaling_gate ~souffle_of ~rate:3000. ~n:2000;
+  scaling_gate ~souffle_of ~rate:0. ~n:2000

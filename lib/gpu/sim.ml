@@ -553,7 +553,7 @@ module Multi = struct
     }
 
   (* actual wall time of the whole phase, evaluated at its deadline *)
-  let seg_total g = g.g_acc +. (g.g_left *. g.g_stretch)
+  let[@inline] seg_total g = g.g_acc +. (g.g_left *. g.g_stretch)
 
   type phase =
     | Launching of { prof : kernel_profile; seg : seg }
@@ -577,7 +577,6 @@ module Multi = struct
 
   type stream = {
     st_id : int;
-    st_label : string;
     st_members : int;
         (* serving requests batched into this stream; 1 unless the serving
            layer coalesced a bucket — pure attribution, no effect on timing *)
@@ -616,23 +615,17 @@ module Multi = struct
          s.st_faults
 
   (* solo-us a stage will take on this stream once armed hangs are applied *)
-  let stage_left (s : stream) ~stage (sp : stage_profile) : float =
+  let[@inline] stage_left (s : stream) ~stage (sp : stage_profile) : float =
     match hang_at s ~kernel:s.st_kidx ~stage with
     | Some f -> sp.sp_us *. f
     | None -> sp.sp_us
 
-  (** One slice of the occupancy timeline: between two scheduler events,
-      [sa_resident] streams had a kernel on the device asking for
-      [sa_sm_demand] SMs and [sa_bw_demand] of peak DRAM bandwidth. *)
-  type sample = {
-    sa_start_us : float;
-    sa_dur_us : float;
-    sa_resident : int;
-    sa_requests : int;
-        (** serving requests inside the resident streams ([st_members]
-            summed); equals [sa_resident] when nothing is batched *)
-    sa_sm_demand : int;
-    sa_bw_demand : float;
+  (* the engine clock and the occupancy integrals, summed between events
+     in time order; an all-float record, so updating it allocates nothing *)
+  type clock = {
+    mutable now : float;
+    mutable sm_us : float;        (* ∫ SMs demanded dt *)
+    mutable resident_us : float;  (* ∫ streams on the device dt *)
   }
 
   (** One device-throttle window: between [w_start] and [w_end] the device
@@ -642,27 +635,30 @@ module Multi = struct
 
   type t = {
     mdev : Device.t;
-    mutable mnow : float;
+    mclk : clock;
     mutable mnext : int;
     mutable mstreams : stream list;
         (* every stream ever launched, reverse launch order: the history
            {!streams} reports, never scanned by the event loop *)
-    mutable mresident : stream list;
-        (* the unfinished streams in launch order, which is the order
-           demands are summed and completions reported in; finished
-           streams are pruned lazily by {!active} *)
-    mutable msamples : sample list;  (* reverse time order *)
+    mutable mres : stream array;
+        (* the resident set: slots [0, mnres) hold the unfinished streams
+           in launch order, which is the order demands are summed and
+           completions reported in; a growable array, compacted in place
+           (finished streams are pruned at the next event) *)
+    mutable mnres : int;
+    mutable mpeak : int;  (* most streams ever on the device at once *)
     mutable mwindows : window list;  (* device-throttle windows *)
   }
 
   let create (dev : Device.t) : t =
     {
       mdev = dev;
-      mnow = 0.;
+      mclk = { now = 0.; sm_us = 0.; resident_us = 0. };
       mnext = 0;
       mstreams = [];
-      mresident = [];
-      msamples = [];
+      mres = [||];
+      mnres = 0;
+      mpeak = 0;
       mwindows = [];
     }
 
@@ -691,59 +687,67 @@ module Multi = struct
         if w.w_end > now then Float.min a w.w_end else a)
       infinity t.mwindows
 
-  let now_us t = t.mnow
+  let now_us t = t.mclk.now
 
   (** Every stream launched so far, in launch order: the full history, for
       reporting.  The event loop walks {!active} instead. *)
   let streams t = List.rev t.mstreams
 
-  let samples t = List.rev t.msamples
   let kernel_slices (s : stream) = List.rev s.st_slices
+
+  (** Occupancy integrals over the engine's whole run, each summed between
+      scheduler events in time order: [sm_demand_us] is ∫ (SMs asked for by
+      the kernels on the device) dt, [resident_us] is ∫ (streams with a
+      kernel on the device) dt, and [peak_resident] the most such streams
+      at once.  Dividing an integral by a window gives its time average. *)
+  let sm_demand_us t = t.mclk.sm_us
+  let resident_us t = t.mclk.resident_us
+  let peak_resident t = t.mpeak
+
+  (* drop finished streams from the resident set, in place, keeping
+     launch order *)
+  let prune t =
+    let a = t.mres and k = ref 0 in
+    for i = 0 to t.mnres - 1 do
+      let s = a.(i) in
+      match s.st_finish_us with
+      | None ->
+          a.(!k) <- s;
+          incr k
+      | Some _ -> ()
+    done;
+    t.mnres <- !k
+
+  let resident_list t = List.init t.mnres (fun i -> t.mres.(i))
 
   (** The unfinished streams, in launch order.  O(resident streams),
       independent of how many streams have already finished. *)
   let active t =
-    let ss = List.filter (fun s -> s.st_finish_us = None) t.mresident in
-    t.mresident <- ss;
-    ss
+    prune t;
+    resident_list t
 
-  let current_stage (s : stream) : stage_profile option =
-    match s.st_phase with
-    | Executing { todo = sp :: _; _ } -> Some sp
-    | _ -> None
-
-  (* standing claims of every resident (executing) kernel *)
-  let demands (ss : stream list) : int * float =
-    List.fold_left
-      (fun (d, b) s ->
-        match current_stage s with
-        | Some sp -> (d + sp.sp_demand, b +. sp.sp_bw_frac)
-        | None -> (d, b))
-      (0, 0.) ss
-
-  let deadline_of (s : stream) : float =
+  let[@inline] deadline_of (s : stream) : float =
     match s.st_phase with
     | Launching { seg; _ } | Executing { seg; _ } -> seg.g_deadline
     | Drained -> infinity
 
-  (* fold the segment's progress up to [now], then continue at [stretch];
-     a no-op when the stretch is unchanged, so uncontended phases keep
-     their exact solo floats *)
-  let reseg ~now (g : seg) ~stretch =
-    if stretch <> g.g_stretch then begin
-      let ran = now -. g.g_start in
-      g.g_acc <- g.g_acc +. ran;
-      g.g_left <- Float.max 0. (g.g_left -. (ran /. g.g_stretch));
-      g.g_stretch <- stretch;
-      g.g_start <- now;
-      g.g_deadline <- now +. (g.g_left *. stretch)
-    end
-
-  (* recompute every executing stream's stretch from the resident set
-     [ss]; streams in it that have since finished are [Drained] and add
-     neither demand nor a stretch *)
-  let restretch t (ss : stream list) =
-    let d, b = demands ss in
+  (* recompute every executing stream's stretch from the resident set;
+     streams in it that finished during this event are [Drained] and add
+     neither demand nor a stretch.  Each segment folds its progress up to
+     now and continues at the new stretch — a no-op when the stretch is
+     unchanged, so uncontended phases keep their exact solo floats. *)
+  let restretch t =
+    let a = t.mres and n = t.mnres in
+    (* standing claims of every resident (executing) kernel *)
+    let d = ref 0 and b = ref 0. in
+    for i = 0 to n - 1 do
+      match a.(i).st_phase with
+      | Executing { todo = sp :: _; _ } ->
+          d := !d + sp.sp_demand;
+          b := !b +. sp.sp_bw_frac
+      | _ -> ()
+    done;
+    let d = !d and b = !b in
     let sms = float_of_int t.mdev.Device.num_sms in
     (* a stream already time-sliced [sm_slow]x issues its memory traffic
        that much slower, so DRAM pressure is the *residual* demand after
@@ -751,23 +755,32 @@ module Multi = struct
        make the device non-work-conserving (N identical streams slower
        than serial).  An active throttle window scales both capacities;
        the un-throttled path keeps the exact PR 5 float expressions. *)
-    let sm_slow, bw_over =
-      if t.mwindows = [] then
-        let sm_slow = Float.max 1. (float_of_int d /. sms) in
-        (sm_slow, Float.max 1. (b /. sm_slow))
-      else
-        let cap = capacity_at t t.mnow in
-        let sm_slow = Float.max 1. (float_of_int d /. (sms *. cap)) in
-        (sm_slow, Float.max 1. (b /. (sm_slow *. cap)))
+    let cap = if t.mwindows = [] then 1. else capacity_at t t.mclk.now in
+    let sm_slow =
+      if t.mwindows = [] then Float.max 1. (float_of_int d /. sms)
+      else Float.max 1. (float_of_int d /. (sms *. cap))
     in
-    List.iter
-      (fun s ->
-        match s.st_phase with
-        | Executing ({ todo = sp :: _; _ } as e) ->
-            reseg ~now:t.mnow e.seg
-              ~stretch:(sm_slow *. (1. +. (sp.sp_mem_frac *. (bw_over -. 1.))))
-        | _ -> ())
-      ss
+    let bw_over =
+      if t.mwindows = [] then Float.max 1. (b /. sm_slow)
+      else Float.max 1. (b /. (sm_slow *. cap))
+    in
+    let now = t.mclk.now in
+    for i = 0 to n - 1 do
+      match a.(i).st_phase with
+      | Executing { todo = sp :: _; seg = g; _ } ->
+          let stretch =
+            sm_slow *. (1. +. (sp.sp_mem_frac *. (bw_over -. 1.)))
+          in
+          if stretch <> g.g_stretch then begin
+            let ran = now -. g.g_start in
+            g.g_acc <- g.g_acc +. ran;
+            g.g_left <- Float.max 0. (g.g_left -. (ran /. g.g_stretch));
+            g.g_stretch <- stretch;
+            g.g_start <- now;
+            g.g_deadline <- now +. (g.g_left *. stretch)
+          end
+      | _ -> ()
+    done
 
   let next_kernel t (s : stream) =
     match s.st_queue with
@@ -783,24 +796,25 @@ module Multi = struct
         s.st_queue <- rest;
         s.st_kidx <- s.st_kidx + 1;
         s.st_kelapsed <- 0.;
-        s.st_kstart <- t.mnow;
+        s.st_kstart <- t.mclk.now;
         s.st_phase <-
-          Launching { prof = kp; seg = mkseg ~now:t.mnow ~left:kp.kp_launch_us }
+          Launching
+            { prof = kp; seg = mkseg ~now:t.mclk.now ~left:kp.kp_launch_us }
 
   let retire_kernel t (s : stream) (prof : kernel_profile) =
-    s.st_slices <- (prof.kp_name, s.st_kstart, t.mnow) :: s.st_slices;
+    s.st_slices <- (prof.kp_name, s.st_kstart, t.mclk.now) :: s.st_slices;
     s.st_service_us <- s.st_service_us +. s.st_kelapsed;
     next_kernel t s
 
   (* an armed Kernel_fault struck: the kernel's work so far is spent, the
      stream terminates Faulted at the engine clock *)
   let abort_faulted t (s : stream) (prof : kernel_profile) =
-    s.st_slices <- (prof.kp_name, s.st_kstart, t.mnow) :: s.st_slices;
+    s.st_slices <- (prof.kp_name, s.st_kstart, t.mclk.now) :: s.st_slices;
     s.st_service_us <- s.st_service_us +. s.st_kelapsed;
     s.st_queue <- [];
     s.st_phase <- Drained;
     s.st_outcome <- Faulted;
-    s.st_finish_us <- Some t.mnow;
+    s.st_finish_us <- Some t.mclk.now;
     Faultinject.Runtime.record_trip ~stream:s.st_id
 
   (* the stream's deadline was reached: cross into the next phase *)
@@ -817,7 +831,7 @@ module Multi = struct
                 {
                   prof;
                   todo = stages;
-                  seg = mkseg ~now:t.mnow ~left:(stage_left s ~stage:0 sp);
+                  seg = mkseg ~now:t.mclk.now ~left:(stage_left s ~stage:0 sp);
                 })
     | Executing ({ prof; seg; _ } as e) -> (
         s.st_kelapsed <- s.st_kelapsed +. seg_total seg;
@@ -830,28 +844,27 @@ module Multi = struct
               s.st_sidx <- s.st_sidx + 1;
               seg.g_left <- stage_left s ~stage:s.st_sidx sp;
               seg.g_stretch <- 1.0;
-              seg.g_start <- t.mnow;
-              seg.g_deadline <- t.mnow +. seg.g_left;
+              seg.g_start <- t.mclk.now;
+              seg.g_deadline <- t.mclk.now +. seg.g_left;
               seg.g_acc <- 0.
           | _ -> retire_kernel t s prof)
     | Drained -> ()
 
-  let launch t ?(label = "") ?(members = 1) ?(faults = [])
+  let launch t ?(members = 1) ?(faults = [])
       (profs : kernel_profile list) : stream =
     if members < 1 then invalid_arg "Sim.Multi.launch: members must be >= 1";
     let s =
       {
         st_id = t.mnext;
-        st_label = label;
         st_members = members;
-        st_start_us = t.mnow;
+        st_start_us = t.mclk.now;
         st_faults = faults;
         st_queue = profs;
         st_phase = Drained;
         st_kidx = -1;
         st_sidx = 0;
         st_kelapsed = 0.;
-        st_kstart = t.mnow;
+        st_kstart = t.mclk.now;
         st_service_us = 0.;
         st_slices = [];
         st_finish_us = None;
@@ -860,7 +873,13 @@ module Multi = struct
     in
     t.mnext <- t.mnext + 1;
     t.mstreams <- s :: t.mstreams;
-    t.mresident <- t.mresident @ [ s ];
+    if t.mnres = Array.length t.mres then begin
+      let grown = Array.make (max 8 (2 * t.mnres)) s in
+      Array.blit t.mres 0 grown 0 t.mnres;
+      t.mres <- grown
+    end;
+    t.mres.(t.mnres) <- s;
+    t.mnres <- t.mnres + 1;
     if faults <> [] then Faultinject.Runtime.arm ~stream:s.st_id faults;
     next_kernel t s;
     s
@@ -874,79 +893,90 @@ module Multi = struct
     match s.st_phase with
     | Drained -> ()
     | Launching { prof; seg } | Executing { prof; seg; _ } ->
-        let ran = Float.max 0. (t.mnow -. seg.g_start) in
+        let ran = Float.max 0. (t.mclk.now -. seg.g_start) in
         s.st_service_us <-
           s.st_service_us +. s.st_kelapsed +. seg.g_acc +. ran;
-        if t.mnow > s.st_kstart then
-          s.st_slices <- (prof.kp_name, s.st_kstart, t.mnow) :: s.st_slices;
+        if t.mclk.now > s.st_kstart then
+          s.st_slices <- (prof.kp_name, s.st_kstart, t.mclk.now) :: s.st_slices;
         s.st_queue <- [];
         s.st_phase <- Drained;
         s.st_outcome <- Cancelled;
-        s.st_finish_us <- Some t.mnow;
-        restretch t (active t)
+        s.st_finish_us <- Some t.mclk.now;
+        prune t;
+        restretch t
 
-  let record_sample t (ss : stream list) ~til =
-    let dt = til -. t.mnow in
+  (* fold the occupancy from now to [til] into the integrals *)
+  let[@inline] record_occupancy t ~til =
+    let dt = til -. t.mclk.now in
     if dt > 0. then begin
-      let d, b = demands ss in
-      let on_device =
-        List.filter (fun s -> Option.is_some (current_stage s)) ss
-      in
-      let requests =
-        List.fold_left (fun n s -> n + s.st_members) 0 on_device
-      in
-      t.msamples <-
-        {
-          sa_start_us = t.mnow;
-          sa_dur_us = dt;
-          sa_resident = List.length on_device;
-          sa_requests = requests;
-          sa_sm_demand = d;
-          sa_bw_demand = b;
-        }
-        :: t.msamples
+      let d = ref 0 and r = ref 0 in
+      for i = 0 to t.mnres - 1 do
+        match t.mres.(i).st_phase with
+        | Executing { todo = sp :: _; _ } ->
+            d := !d + sp.sp_demand;
+            incr r
+        | _ -> ()
+      done;
+      let c = t.mclk in
+      c.sm_us <- c.sm_us +. (dt *. float_of_int !d);
+      c.resident_us <- c.resident_us +. (dt *. float_of_int !r);
+      if !r > t.mpeak then t.mpeak <- !r
     end
 
   (* one scheduler event: advance to the earliest phase deadline, throttle
      window boundary, or [until], whichever is first, and process every
      boundary reached *)
   let step t ~until =
-    match active t with
-    | [] ->
-        if until = infinity then `Idle
-        else begin
-          if until > t.mnow then t.mnow <- until;
-          `Reached
-        end
-    | ss ->
-        let next =
-          List.fold_left (fun a s -> Float.min a (deadline_of s)) infinity ss
-        in
-        (* a capacity change mid-stage is an event too: streams must
-           re-segment at the window edge *)
-        let next =
-          if t.mwindows = [] then next
-          else Float.min next (next_window_boundary t t.mnow)
-        in
-        if next = infinity && until = infinity then
-          (* every active stream is hung indefinitely (an armed
-             [Kernel_hang] with factor infinity) and nothing external is
-             coming: no event will ever fire.  Surface it instead of
-             spinning — the caller's watchdog must cancel. *)
-          `Stalled ss
-        else if until < next then begin
-          record_sample t ss ~til:until;
-          if until > t.mnow then t.mnow <- until;
-          `Reached
-        end
-        else begin
-          record_sample t ss ~til:next;
-          if next > t.mnow then t.mnow <- next;
-          let crossing = List.filter (fun s -> deadline_of s <= t.mnow) ss in
-          List.iter (cross t) crossing;
-          restretch t ss;
-          `Crossed (List.filter (fun s -> s.st_finish_us <> None) crossing)
-        end
+    prune t;
+    let a = t.mres and n = t.mnres in
+    if n = 0 then
+      if until = infinity then `Idle
+      else begin
+        if until > t.mclk.now then t.mclk.now <- until;
+        `Reached
+      end
+    else begin
+      let next = ref infinity in
+      for i = 0 to n - 1 do
+        let dl = deadline_of a.(i) in
+        if dl < !next then next := dl
+      done;
+      (* a capacity change mid-stage is an event too: streams must
+         re-segment at the window edge *)
+      let next =
+        if t.mwindows = [] then !next
+        else Float.min !next (next_window_boundary t t.mclk.now)
+      in
+      if next = infinity && until = infinity then
+        (* every active stream is hung indefinitely (an armed
+           [Kernel_hang] with factor infinity) and nothing external is
+           coming: no event will ever fire.  Surface it instead of
+           spinning — the caller's watchdog must cancel. *)
+        `Stalled (resident_list t)
+      else if until < next then begin
+        record_occupancy t ~til:until;
+        if until > t.mclk.now then t.mclk.now <- until;
+        `Reached
+      end
+      else begin
+        record_occupancy t ~til:next;
+        if next > t.mclk.now then t.mclk.now <- next;
+        (* crossing one stream never moves another's deadline, so each
+           resident is tested and crossed in a single launch-order pass *)
+        for i = 0 to n - 1 do
+          let s = a.(i) in
+          if deadline_of s <= t.mclk.now then cross t s
+        done;
+        restretch t;
+        (* every resident was unfinished before this event, so the
+           finished ones are exactly those that completed in it *)
+        let done_ = ref [] in
+        for i = n - 1 downto 0 do
+          if Option.is_some a.(i).st_finish_us then done_ := a.(i) :: !done_
+        done;
+        `Crossed !done_
+      end
+    end
 
   (** Advance simulated time.  Returns when the first stream completes
       ([`Completed], possibly several at the same instant), when [until]
@@ -956,7 +986,7 @@ module Multi = struct
       only with [until = infinity] — when no stream is active ([`Idle]). *)
   let advance t ~until =
     let rec go () =
-      if t.mnow >= until then `Reached
+      if t.mclk.now >= until then `Reached
       else
         match step t ~until with
         | `Idle -> `Idle

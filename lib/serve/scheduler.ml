@@ -293,7 +293,11 @@ type outcome = {
       (** requests whose retry budget a fault exhausted: (request,
           terminal time, attempts made) *)
   o_diags : Diag.t list;               (** lifecycle events as diagnostics *)
-  o_samples : Sim.Multi.sample list;   (** SM/bandwidth occupancy timeline *)
+  o_sm_demand_us : float;
+      (** ∫ SMs demanded by on-device kernels dt ({!Sim.Multi.sm_demand_us}) *)
+  o_resident_us : float;
+      (** ∫ streams with a kernel on the device dt ({!Sim.Multi.resident_us}) *)
+  o_peak_resident : int;  (** most streams on the device at once *)
   o_makespan_us : float;               (** time of the last completion *)
 }
 
@@ -362,26 +366,37 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
     | Some a -> a
     | None -> invalid_arg (Fmt.str "Scheduler.run: no artifact for model %s" model)
   in
-  (* decode position buckets per model, ascending *)
-  let decode_buckets (model : string) : artifact list =
-    List.filter
+  (* decode position buckets per model, ascending (a stable sort, so
+     duplicates keep their order in [artifacts]); built once per run *)
+  let decode_buckets : (string, artifact array) Hashtbl.t =
+    let is_decode a = a.art_batch = 1 && a.art_pos > 0 in
+    let tbl = Hashtbl.create 8 in
+    List.iter
       (fun a ->
-        a.art_batch = 1 && a.art_pos > 0
-        && String.lowercase_ascii a.art_model = String.lowercase_ascii model)
-      artifacts
-    |> List.sort (fun a b -> compare a.art_pos b.art_pos)
+        let k = String.lowercase_ascii a.art_model in
+        if is_decode a && not (Hashtbl.mem tbl k) then
+          Hashtbl.replace tbl k
+            (List.filter
+               (fun b -> is_decode b && String.lowercase_ascii b.art_model = k)
+               artifacts
+            |> List.stable_sort (fun a b -> compare a.art_pos b.art_pos)
+            |> Array.of_list))
+      artifacts;
+    tbl
   in
   (* a decode step over [cache] KV entries runs the smallest bucket that
      fits, or the largest registered one when the cache outgrows them *)
   let decode_art (model : string) ~(cache : int) : artifact =
-    match decode_buckets model with
-    | [] ->
+    match Hashtbl.find_opt decode_buckets (String.lowercase_ascii model) with
+    | None ->
         invalid_arg
           (Fmt.str "Scheduler.run: no decode artifact for model %s" model)
-    | bs -> (
-        match List.find_opt (fun a -> a.art_pos >= cache) bs with
-        | Some a -> a
-        | None -> List.nth bs (List.length bs - 1))
+    | Some bs ->
+        let n = Array.length bs in
+        let rec first i =
+          if i = n - 1 || bs.(i).art_pos >= cache then bs.(i) else first (i + 1)
+        in
+        first 0
   in
   let art_for (j : job) : artifact =
     match j.jb_phase with
@@ -438,7 +453,21 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
            compare a.Workload.rq_arrival_us b.Workload.rq_arrival_us)
          reqs)
   in
-  let queue = ref [] (* (job, attempt) — arrived, undispatched *) in
+  (* (job, attempt) — arrived, undispatched, in queue order: O(1) append
+     and FIFO pop; the scans that filter it (shedding, expiry, SEL's pick,
+     batch peers) rebuild it in O(backlog) *)
+  let queue : (job * int) Queue.t = Queue.create () in
+  let enqueue x = Queue.add x queue in
+  (* keep the entries satisfying [keep], in order; returns the others *)
+  let filter_queue keep =
+    let kept = Queue.create () and gone = ref [] in
+    Queue.iter
+      (fun x -> if keep x then Queue.add x kept else gone := x :: !gone)
+      queue;
+    Queue.clear queue;
+    Queue.transfer kept queue;
+    List.rev !gone
+  in
   let retry_at = ref [] (* (ready_us, job, attempt), sorted *) in
   (* the job a fresh arrival materializes as: generation requests start at
      their prefill phase *)
@@ -489,26 +518,22 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
      lifecycle phases re-enter without re-admission: they were already
      admitted once) *)
   let admit (r : Workload.request) =
-    let enqueue () = queue := !queue @ [ (job_of_req r, 0) ] in
+    let enqueue () = enqueue (job_of_req r, 0) in
     match cfg.queue_cap with
     | None -> enqueue ()
     | Some cap ->
-        if List.length !queue < cap then enqueue ()
+        if Queue.length queue < cap then enqueue ()
         else begin
           let now = Sim.Multi.now_us m in
           (match cfg.drop with
           | Shed ->
               (* deadline-aware: first shed queued requests that can no
                  longer meet their SLO given the solo-latency estimate *)
-              let keep, shed =
-                List.partition (fun (q, _) -> not (hopeless now q)) !queue
-              in
-              if shed <> [] then begin
-                queue := keep;
-                List.iter (fun ((q : job), _) -> drop q.jb_req Shed_slo) shed
-              end
+              List.iter
+                (fun ((q : job), _) -> drop q.jb_req Shed_slo)
+                (filter_queue (fun (q, _) -> not (hopeless now q)))
           | Reject -> ());
-          if List.length !queue < Option.get cfg.queue_cap then enqueue ()
+          if Queue.length queue < cap then enqueue ()
           else
             drop r
               (if
@@ -524,7 +549,7 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
       | (r : Workload.request) :: rest
         when r.Workload.rq_arrival_us <= Sim.Multi.now_us m ->
           (match cfg.queue_cap with
-          | None -> queue := !queue @ [ (job_of_req r, 0) ]
+          | None -> enqueue (job_of_req r, 0)
           | Some _ -> admit r);
           upcoming := rest;
           arrivals ()
@@ -534,7 +559,7 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
     let rec retries () =
       match !retry_at with
       | (ready, j, attempt) :: rest when ready <= Sim.Multi.now_us m ->
-          queue := !queue @ [ (j, attempt) ];
+          enqueue (j, attempt);
           retry_at := rest;
           retries ()
       | _ -> ()
@@ -543,20 +568,14 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
   in
   (* queued requests whose deadline passed time out without a dispatch *)
   let expire_queue () =
-    if deadlines_possible && !queue <> [] then begin
+    if deadlines_possible && not (Queue.is_empty queue) then begin
       let now = Sim.Multi.now_us m in
-      let live, dead =
-        List.partition
-          (fun ((q : job), _) ->
-            match deadline_of_req q.jb_req with
-            | Some d -> d > now
-            | None -> true)
-          !queue
-      in
-      if dead <> [] then begin
-        queue := live;
-        List.iter (fun ((q : job), _) -> drop q.jb_req Expired) dead
-      end
+      List.iter
+        (fun ((q : job), _) -> drop q.jb_req Expired)
+        (filter_queue (fun ((q : job), _) ->
+             match deadline_of_req q.jb_req with
+             | Some d -> d > now
+             | None -> true))
     end
   in
   let record_abort (j : job) (art : artifact) slot disp attempt
@@ -660,17 +679,24 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
         hit
     end
   in
+  (* take the next job off the queue: FIFO pops the head in O(1) *)
   let pick () =
     match cfg.policy with
-    | Fifo -> List.hd !queue
+    | Fifo -> Queue.take queue
     | Sel ->
         (* shortest expected latency, phase-aware: a decode step's estimate
-           is its position bucket's solo latency *)
-        List.fold_left
-          (fun ((best : job), _ as b) ((j : job), _ as c) ->
-            if (art_for j).art_solo_us < (art_for best).art_solo_us then c
-            else b)
-          (List.hd !queue) (List.tl !queue)
+           is its position bucket's solo latency; ties keep queue order *)
+        let ((best : job), _) as chosen =
+          Queue.fold
+            (fun ((best : job), _ as b) ((j : job), _ as c) ->
+              if (art_for j).art_solo_us < (art_for best).art_solo_us then c
+              else b)
+            (Queue.peek queue) queue
+        in
+        let id = best.jb_req.Workload.rq_id in
+        ignore
+          (filter_queue (fun ((j : job), _) -> j.jb_req.Workload.rq_id <> id));
+        chosen
   in
   (* largest power-of-two bucket <= [want] with a batched artifact; 1 (the
      mandatory base artifact) is always reachable by halving *)
@@ -684,14 +710,9 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
     fit (pow2_floor 1)
   in
   let dispatch () =
-    while !queue <> [] && !free_slots <> [] do
+    while (not (Queue.is_empty queue)) && !free_slots <> [] do
       let lead, attempt = pick () in
       let rq = lead.jb_req in
-      queue :=
-        List.filter
-          (fun ((j : job), _) ->
-            j.jb_req.Workload.rq_id <> rq.Workload.rq_id)
-          !queue;
       (* coalesce: first-attempt one-shot peers of the same model join the
          lead's stream, up to the largest artifact-backed power-of-two
          bucket.  Retries never re-batch — a poisoned request fails alone —
@@ -701,13 +722,21 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
         if cfg.max_batch < 2 || attempt > 0 || lead.jb_phase <> Single then
           [ (lead, attempt) ]
         else begin
+          let model = rq.Workload.rq_model in
+          let lmodel = String.lowercase_ascii model in
+          let same_model m =
+            String.equal m model || String.lowercase_ascii m = lmodel
+          in
           let peers =
-            List.filter
-              (fun ((j : job), a) ->
-                a = 0 && j.jb_phase = Single
-                && String.lowercase_ascii j.jb_req.Workload.rq_model
-                   = String.lowercase_ascii rq.Workload.rq_model)
-              !queue
+            Queue.fold
+              (fun acc (((j : job), a) as x) ->
+                if
+                  a = 0 && j.jb_phase = Single
+                  && same_model j.jb_req.Workload.rq_model
+                then x :: acc
+                else acc)
+              [] queue
+            |> List.rev
           in
           let bucket =
             bucket_for rq.Workload.rq_model
@@ -719,11 +748,10 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
               (fun ((j : job), _) -> j.jb_req.Workload.rq_id)
               joined
           in
-          queue :=
-            List.filter
-              (fun ((j : job), _) ->
-                not (List.mem j.jb_req.Workload.rq_id joined_ids))
-              !queue;
+          if joined <> [] then
+            ignore
+              (filter_queue (fun ((j : job), _) ->
+                   not (List.mem j.jb_req.Workload.rq_id joined_ids)));
           (lead, attempt) :: joined
         end
       in
@@ -741,16 +769,8 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
             Faultinject.chaos_plan c ~rq_id:(chaos_id lead) ~attempt
               ~stages:(stages_of art)
       in
-      let label =
-        match lead.jb_phase with
-        | Single when nmembers = 1 ->
-            Fmt.str "%s#%d" art.art_model rq.Workload.rq_id
-        | Single -> Fmt.str "%s x%d#%d" art.art_model nmembers rq.Workload.rq_id
-        | Prefill -> Fmt.str "%s@p#%d" art.art_model rq.Workload.rq_id
-        | Decode t -> Fmt.str "%s@d%d#%d" art.art_model t rq.Workload.rq_id
-      in
       let st =
-        Sim.Multi.launch m ~label ~members:nmembers ~faults art.art_profiles
+        Sim.Multi.launch m ~members:nmembers ~faults art.art_profiles
       in
       Hashtbl.replace inflight st.Sim.Multi.st_id
         {
@@ -815,9 +835,8 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
             match next_phase with
             | None -> ()
             | Some p ->
-                queue :=
-                  !queue
-                  @ [ ({ jb_req = rq; jb_phase = p; jb_issue_us = finish }, 0) ])
+                enqueue
+                  ({ jb_req = rq; jb_phase = p; jb_issue_us = finish }, 0))
           fl.f_members
     | Sim.Multi.Faulted ->
         (* members retry individually (never re-batched): one poisoned
@@ -865,7 +884,7 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
     dispatch ();
     if
       Hashtbl.length inflight = 0
-      && !queue = [] && !upcoming = [] && !retry_at = []
+      && Queue.is_empty queue && !upcoming = [] && !retry_at = []
     then ()
     else begin
       let until =
@@ -915,6 +934,8 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
     o_dropped = List.rev !dropped;
     o_failed = List.rev !failed;
     o_diags = List.rev !diags;
-    o_samples = Sim.Multi.samples m;
+    o_sm_demand_us = Sim.Multi.sm_demand_us m;
+    o_resident_us = Sim.Multi.resident_us m;
+    o_peak_resident = Sim.Multi.peak_resident m;
     o_makespan_us = Sim.Multi.now_us m;
   }

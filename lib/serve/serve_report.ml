@@ -132,11 +132,6 @@ let summarize (o : Scheduler.outcome) : summary =
       if w > 0. then float_of_int ndec /. (w /. 1e6) else 0.
     end
   in
-  let wsum f =
-    List.fold_left
-      (fun a (s : Sim.Multi.sample) -> a +. (s.Sim.Multi.sa_dur_us *. f s))
-      0. o.Scheduler.o_samples
-  in
   {
     s_requests = n;
     s_offered_rps =
@@ -167,17 +162,10 @@ let summarize (o : Scheduler.outcome) : summary =
          /. all_fn);
     s_makespan_ms = o.Scheduler.o_makespan_us /. 1e3;
     s_avg_sm_demand =
-      (if window_us > 0. then
-         wsum (fun s -> float_of_int s.Sim.Multi.sa_sm_demand) /. window_us
-       else 0.);
+      (if window_us > 0. then o.Scheduler.o_sm_demand_us /. window_us else 0.);
     s_avg_resident =
-      (if window_us > 0. then
-         wsum (fun s -> float_of_int s.Sim.Multi.sa_resident) /. window_us
-       else 0.);
-    s_peak_resident =
-      List.fold_left
-        (fun a (s : Sim.Multi.sample) -> max a s.Sim.Multi.sa_resident)
-        0 o.Scheduler.o_samples;
+      (if window_us > 0. then o.Scheduler.o_resident_us /. window_us else 0.);
+    s_peak_resident = o.Scheduler.o_peak_resident;
     s_dram_gb =
       float_of_int
         (List.fold_left

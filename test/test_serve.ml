@@ -172,7 +172,7 @@ let run_history () : Sim.Multi.t =
         else []
       in
       ignore
-        (Sim.Multi.launch eng ~label:(string_of_int i) ~faults
+        (Sim.Multi.launch eng ~faults
            (if i mod 3 = 0 then heavy else light))
     done
   in
@@ -229,9 +229,7 @@ let test_engine_long_history () =
   Alcotest.(check int) "no stream active after drain" 0
     (List.length (Sim.Multi.active eng));
   Alcotest.(check int) "at most two streams ever resident" 2
-    (List.fold_left
-       (fun a (x : Sim.Multi.sample) -> max a x.Sim.Multi.sa_resident)
-       0 (Sim.Multi.samples eng));
+    (Sim.Multi.peak_resident eng);
   let outcome i = (List.nth ss i).Sim.Multi.st_outcome in
   Alcotest.(check string) "cancelled mid-kernel" "cancelled"
     (Sim.Multi.outcome_to_string (outcome history_cancelled));
@@ -266,6 +264,87 @@ let test_engine_simultaneous_completions_in_launch_order () =
       Alcotest.(check (list int)) "completed in launch order" ids
         (List.map (fun (s : Sim.Multi.stream) -> s.Sim.Multi.st_id) done_)
   | _ -> Alcotest.fail "expected the three streams to complete together"
+
+(* seven streams through one engine under a throttle window (15-40 us at
+   half capacity): stream 1 hangs 3x in its first kernel's second stage,
+   stream 3 faults there, stream 4 is cancelled mid-kernel at 20 us; up to
+   six are on the device at once *)
+let run_contention () : Sim.Multi.t =
+  Faultinject.Runtime.reset ();
+  let light = history_profiles ~heavy:false
+  and heavy = history_profiles ~heavy:true in
+  let eng = Sim.Multi.create dev in
+  Sim.Multi.throttle eng ~start_us:15. ~dur_us:25. ~capacity:0.5;
+  let launch ?(faults = []) profs = Sim.Multi.launch eng ~faults profs in
+  ignore (launch heavy);
+  ignore
+    (launch
+       ~faults:
+         [ Faultinject.Kernel_hang { kernel = 0; stage = 1; factor = 3. } ]
+       light);
+  ignore (Sim.Multi.advance eng ~until:10.);
+  ignore (launch heavy);
+  ignore
+    (launch
+       ~faults:[ Faultinject.Kernel_fault { kernel = 0; stage = 1 } ]
+       light);
+  let victim = launch heavy in
+  ignore (Sim.Multi.advance eng ~until:14.);
+  ignore (launch light);
+  ignore (Sim.Multi.advance eng ~until:20.);
+  Sim.Multi.cancel eng victim;
+  ignore (launch heavy);
+  Sim.Multi.drain eng;
+  Faultinject.Runtime.reset ();
+  eng
+
+(* recorded on the engine that kept a per-event occupancy timeline, with
+   the integrals folded over it the way the serving report did: running
+   integrals must reproduce that fold bit for bit *)
+let contention_expected_digest = -7118356528266872909L
+let contention_expected_sm_bits = 4669281375121949453L
+let contention_expected_resident_bits = 4643481400365528565L
+
+let test_engine_contention_pinned () =
+  let eng = run_contention () in
+  let ss = Sim.Multi.streams eng in
+  Alcotest.(check (list string)) "outcomes"
+    [ "finished"; "finished"; "finished"; "faulted"; "cancelled"; "finished";
+      "finished" ]
+    (List.map
+       (fun (s : Sim.Multi.stream) ->
+         Sim.Multi.outcome_to_string s.Sim.Multi.st_outcome)
+       ss);
+  Alcotest.(check int64) "finish-time digest" contention_expected_digest
+    (finish_digest ss);
+  Alcotest.(check int64) "SM-demand integral bits" contention_expected_sm_bits
+    (Int64.bits_of_float (Sim.Multi.sm_demand_us eng));
+  Alcotest.(check int64) "resident integral bits"
+    contention_expected_resident_bits
+    (Int64.bits_of_float (Sim.Multi.resident_us eng));
+  Alcotest.(check int) "peak resident" 6 (Sim.Multi.peak_resident eng)
+
+(* an outcome holds its completions plus a few aggregates: nothing that
+   grows with the number of engine events *)
+let test_outcome_retention () =
+  let arts =
+    List.map
+      (fun k ->
+        let e = Option.get (Zoo.find k) in
+        artifact_of ~model:e.Zoo.name (tiny_report e))
+      [ "mmoe"; "lstm" ]
+  in
+  let reqs =
+    Workload.generate ~seed:29 ~rate_rps:3000. ~requests:200
+      [ ("MMoE", 2.); ("LSTM", 1.) ]
+  in
+  let o = run_batch ~streams:8 arts reqs in
+  let words = Obj.reachable_words (Obj.repr o)
+  and completed = Obj.reachable_words (Obj.repr o.Scheduler.o_completed) in
+  Alcotest.(check bool)
+    (Fmt.str "outcome %d words < 2x its completions' %d" words completed)
+    true
+    (words < 2 * completed)
 
 (* ---- scheduler policies ---- *)
 
@@ -867,6 +946,10 @@ let suite =
       test_engine_long_history;
     Alcotest.test_case "engine completes ties in launch order" `Quick
       test_engine_simultaneous_completions_in_launch_order;
+    Alcotest.test_case "engine contention pinned" `Quick
+      test_engine_contention_pinned;
+    Alcotest.test_case "outcome keeps no event history" `Quick
+      test_outcome_retention;
     Alcotest.test_case "sel picks shortest, fifo picks first" `Quick
       test_sel_prefers_shortest;
     Alcotest.test_case "unknown model rejected" `Quick
